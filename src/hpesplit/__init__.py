@@ -10,24 +10,18 @@ from .linalg import LinearMap, StoppingRule, NumericalError, cg_solve, estimate_
 from .operators import (
     soft_threshold,
     clip,
-    resolvent_dual_l1,
     huber_value,
     huber_gradient,
-    HuberParams,
-    lsq_resolvent_exact,
-    lsq_refine,
     LsqResolvent,
 )
 from .hpe import (
-    Preconditioner,
     HpeConfig,
-    CertifiedPair,
+    StepRecord,
     RunTrace,
     AuditReport,
     CertificationError,
-    m_seminorm,
-    hpe_error_check,
-    hpe_update,
+    iterate,
+    certify,
     reduced_hpe_run,
     audit_invariants,
 )

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -26,6 +26,7 @@ from .linalg import estimate_spectral_norm
 from .methods import (
     CpParams,
     DyParams,
+    _huber_forward,
     condat_vu_run,
     explicit_cp_run,
     fb_run,
@@ -34,7 +35,7 @@ from .methods import (
     inexact_cp_run,
     inexact_dy_run,
 )
-from .operators import LsqResolvent, clip, huber_gradient, soft_threshold
+from .operators import LsqResolvent, clip, soft_threshold
 from .problems import make_cp_instance, make_dy_instance
 
 OUT_ENV_VAR = "HPESPLIT_OUT"
@@ -77,6 +78,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.family not in ("cp", "dy"):
             raise ValueError(f"unknown family {self.family!r}")
+        if self.iters < 0:
+            raise ValueError(f"iters must be nonnegative, got {self.iters}")
+        if self.inner_cap < 1:
+            raise ValueError(f"inner_cap must be >= 1, got {self.inner_cap}")
         if self.family == "cp" and self.lam is None:
             raise ValueError("cp experiments need lam")
         if self.family == "dy" and (self.lam1 is None or self.lam2 is None):
@@ -134,6 +139,7 @@ def named_config(name, **overrides):
 
 def config_from_file(path, **overrides):
     """Parse a flat ``key = value`` config file; command-line overrides win."""
+    known = {f.name for f in fields(ExperimentConfig)}
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -142,7 +148,10 @@ def config_from_file(path, **overrides):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
-        values[key.strip()] = _coerce(key.strip(), val.strip())
+        key = key.strip()
+        if key not in known:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = _coerce(key, val.strip())
     values.update({k: v for k, v in overrides.items() if v is not None})
     values.setdefault("experiment", Path(path).stem)
     return ExperimentConfig(**values)
@@ -222,15 +231,7 @@ def audit_trace_file(path, sigma, rtol=1e-9):
 def _dy_pieces(cfg, inst):
     beta = max(4.0 * cfg.lam2, 1e-12)
     gamma = cfg.gamma if cfg.gamma is not None else 1.0 / beta
-    lam1, lam2, delta = cfg.lam1, cfg.lam2, cfg.delta
-    D = inst.D
-
-    def b_apply(x):
-        if lam2 == 0.0:
-            return np.zeros_like(x)
-        return lam2 * D.apply_adjoint(huber_gradient(D.apply(x), delta))
-
-    return beta, gamma, b_apply
+    return beta, gamma, lambda x: _huber_forward(inst.D, cfg.lam2, cfg.delta, x)
 
 
 def run_method(name, cfg, inst, norms):
@@ -473,7 +474,8 @@ def main(argv=None):
         if entry.get("certification_failure"):
             print(f"  {name}: CERTIFICATION FAILURE: {entry['certification_failure']}")
         else:
-            print(f"  {name}: final gap {entry['final_gap']:.3e}, "
+            gap = entry["final_gap"]
+            print(f"  {name}: final gap {'none' if gap is None else format(gap, '.3e')}, "
                   f"h_apps {entry['total_h_apps']}, "
                   f"median inner {entry['median_inner']}")
     return 2 if result.certification_failed else 0

@@ -1,19 +1,22 @@
-"""Extragradient proximal core with a degenerate (PSD) preconditioner.
+"""Extragradient proximal core: one outer loop, one certificate, the audit.
 
-The driver accepts an inexact resolvent output (u_tilde, witness) whenever the
-relative-error check
+Every splitting method is a degenerate-preconditioned proximal point
+iteration.  An inexact resolvent output is accepted once the relative-error
+check
 
-    ||lam * v + u_tilde - u||_M  <=  sigma * ||u_tilde - u||_M
+    ||v + u_tilde - u||_M  <=  sigma * ||u_tilde - u||_M
 
-holds in the seminorm of the preconditioner M, then takes the extragradient
-step u <- u - lam * v.  With an onto factorization M = C C* the whole loop can
-be driven in the smaller space of w = C* u, which is the `reduced_hpe_run`
-entry point the concrete splitting methods build on.
+holds in the seminorm of the preconditioner M (`certify` runs that
+accept/refine loop on a check the method supplies), and the step is then
+u <- u - v.  With an onto factorization M = C C* the DR and DY loops run in the
+smaller space of w = C* u (`reduced_hpe_run`).  `iterate` is the outer loop
+every runner shares, and `audit_invariants` checks a finished trace against the
+estimates the acceptance test implies.
 """
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,109 +29,18 @@ class CertificationError(RuntimeError):
         self.iteration = iteration
 
 
-class Preconditioner:
-    """Self-adjoint positive semidefinite map, optionally with a factor M = C C*.
-
-    When the factor is available the seminorm is evaluated as ||C* u||, which
-    avoids the small negative inner products PSD rounding can produce;
-    otherwise negative values of <u, M u> are clamped to zero before the root.
-    """
-
-    def __init__(self, m_apply, dim, cstar_apply=None, c_apply=None, factor_dim=None):
-        self.m_apply = m_apply
-        self.dim = dim
-        self.cstar_apply = cstar_apply
-        self.c_apply = c_apply
-        self.factor_dim = factor_dim
-
-    @classmethod
-    def from_matrix(cls, M):
-        M = np.asarray(M, dtype=float)
-        return cls(lambda u: M @ u, M.shape[0])
-
-    @classmethod
-    def from_factor(cls, C):
-        """Build M = C C* from a LinearMap factor C (columns index the reduced space)."""
-        return cls(
-            lambda u: C.apply_uncounted(C.apply_adjoint_uncounted(u)),
-            dim=C.rows,
-            cstar_apply=C.apply_adjoint_uncounted,
-            c_apply=C.apply_uncounted,
-            factor_dim=C.cols,
-        )
-
-    @property
-    def has_factor(self):
-        return self.cstar_apply is not None
-
-    def apply(self, u):
-        return self.m_apply(np.asarray(u, dtype=float))
-
-    def seminorm(self, u):
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got shape {u.shape}")
-        if self.has_factor:
-            return float(np.linalg.norm(self.cstar_apply(u)))
-        quad = float(u @ self.m_apply(u))
-        return float(np.sqrt(max(quad, 0.0)))
-
-    def self_check(self, seed=0, trials=100, tol=1e-12):
-        """Verify PSD-ness and, if present, the factorization, on random vectors."""
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            u = rng.standard_normal(self.dim)
-            quad = float(u @ self.m_apply(u))
-            if quad < -tol * float(u @ u):
-                raise ValueError(f"preconditioner is not PSD: <u, Mu> = {quad:.3e}")
-            if self.has_factor:
-                gap = np.linalg.norm(self.m_apply(u) - self.c_apply(self.cstar_apply(u)))
-                if gap > tol * max(1.0, np.linalg.norm(u)):
-                    raise ValueError(f"factorization inconsistent: ||Mu - C C* u|| = {gap:.3e}")
-
-
-def m_seminorm(P, u):
-    """Seminorm sqrt(<u, M u>) of the preconditioner; uses ||C* u|| when a factor exists."""
-    return P.seminorm(u)
-
-
-def hpe_error_check(P, lam, v, u_tilde, u, sigma):
-    """Evaluate the relative-error acceptance test in the M-seminorm.
-
-    Returns (accepted, lhs, rhs) with lhs = ||lam v + u_tilde - u||_M and
-    rhs = ||u_tilde - u||_M; accepted means lhs <= sigma * rhs.
-    """
-    if lam <= 0:
-        raise ValueError(f"stepsize must be positive, got {lam}")
-    if not 0 <= sigma < 1:
-        raise ValueError(f"sigma must be in [0, 1), got {sigma}")
-    lhs = P.seminorm(lam * np.asarray(v, float) + np.asarray(u_tilde, float) - np.asarray(u, float))
-    rhs = P.seminorm(np.asarray(u_tilde, float) - np.asarray(u, float))
-    return lhs <= sigma * rhs, lhs, rhs
-
-
-def hpe_update(u, lam, v):
-    """Extragradient step u - lam * v."""
-    if lam <= 0:
-        raise ValueError(f"stepsize must be positive, got {lam}")
-    return np.asarray(u, dtype=float) - lam * np.asarray(v, dtype=float)
-
-
 @dataclass
 class HpeConfig:
-    """Loop parameters shared by the inexact splitting runs.
+    """Parameters of the relative-error certificate shared by the inexact runs.
 
-    ``lam`` may be a constant, a sequence, or a callable k -> lam_k; every
-    value must be positive. ``accept_atol`` adds a rounding floor to the
-    acceptance test (scaled by 1 + ||w||) so that runs sitting at the exact
-    fixed point do not spin in the inner loop; set it to 0 for the strict
-    textbook criterion.
+    ``accept_atol`` adds a rounding floor to the acceptance test (scaled by a
+    norm of the current iterate the method chooses) so that runs sitting at
+    the exact fixed point do not spin in the inner loop; set it to 0 for the
+    strict textbook criterion.
     """
 
     sigma: float = 0.0
-    lam: object = 1.0
     inner_cap: int = 200
-    record_invariants: bool = False
     accept_atol: float = 1e-14
 
     def __post_init__(self):
@@ -139,34 +51,22 @@ class HpeConfig:
         if self.accept_atol < 0:
             raise ValueError("accept_atol must be nonnegative")
 
-    def stepsize(self, k):
-        if callable(self.lam):
-            lam = float(self.lam(k))
-        elif np.isscalar(self.lam):
-            lam = float(self.lam)
-        else:
-            lam = float(self.lam[k])
-        if lam <= 0:
-            raise ValueError(f"stepsize lam_{k} = {lam} must be positive")
-        return lam
 
+class StepRecord(NamedTuple):
+    """What one outer iteration reports for its trace row; zeros when uncertified."""
 
-@dataclass
-class CertifiedPair:
-    """Accepted inexact resolvent output together with its error-check numbers."""
-
-    u_tilde: object
-    witness: np.ndarray
-    lhs: float
-    rhs: float
-    inner_iterations: int
+    lhs: float = 0.0
+    rhs: float = 0.0
+    inner: int = 0
+    residual: float = 0.0
+    accept_tol: float = 0.0
 
 
 class RunTrace:
     """Per-iteration records of one splitting run.
 
     ``rhs`` doubles as the seminorm of the step ||u_tilde - u||_M, and
-    ``seminorm_residual`` is ||lam v||_M.  ``iterates`` (when recorded) holds
+    ``seminorm_residual`` is ||v||_M.  ``iterates`` (when recorded) holds
     u^0 .. u^K in whatever coordinates the method iterates in, so it has one
     more entry than the row lists.
     """
@@ -202,18 +102,89 @@ class RunTrace:
     def __len__(self):
         return len(self.k)
 
-    @property
-    def seminorm_step(self):
-        return self.rhs
-
     def objective_gap(self):
         ref = self.reference_objective if self.reference_objective is not None else 0.0
         return [obj - ref for obj in self.objective]
 
 
-def reduced_hpe_run(produce, refine, w0, cfg, max_outer, objective=None,
-                    h_counter=None, method="reduced-hpe", on_accept=None):
-    """Run the reduced inexact proximal loop in the factor space w = C* u.
+def iterate(step, state, iters, objective=None, h_counter=None, record=None,
+            method="", sigma=None):
+    """The outer loop of every runner: step, time, evaluate, write the trace row.
+
+    Parameters
+    ----------
+    step : callable
+        ``step(k, state) -> (state, StepRecord)`` performs outer iteration k.
+    state : tuple
+        Initial state. Its first entry is the primal point: the objective is
+        evaluated there after every step, and runners return it as the final
+        iterate, so it must be meaningful before the first step too.
+    iters : int
+        Number of outer iterations.
+    objective : callable, optional
+        ``objective(x) -> float`` recorded per iteration (NaN when absent).
+    h_counter : callable, optional
+        Returns the cumulative count of the dominant operator applications.
+    record : callable, optional
+        ``record(state) -> ndarray``; when given, ``trace.iterates`` holds its
+        value before the first and after every step.
+    method, sigma
+        Labels stored in the trace.
+
+    Returns
+    -------
+    (RunTrace, final state)
+    """
+    trace = RunTrace(method=method, sigma=sigma)
+    count = h_counter if h_counter is not None else (lambda: 0)
+    if record is not None:
+        trace.iterates = [np.array(record(state), dtype=float)]
+    for k in range(iters):
+        t0 = time.perf_counter()
+        state, rec = step(k, state)
+        obj = float(objective(state[0])) if objective is not None else float("nan")
+        trace.append(k, obj, rec.lhs, rec.rhs, rec.inner, count(), rec.residual,
+                     wall_ms=(time.perf_counter() - t0) * 1e3, accept_tol=rec.accept_tol)
+        if record is not None:
+            trace.iterates.append(np.array(record(state), dtype=float))
+    return trace, state
+
+
+def certify(cfg, candidate, refine, check, scale, k, method):
+    """The accept/refine inner loop shared by every certified method.
+
+    Refines ``candidate`` with ``refine(candidate) -> candidate`` until
+    ``check(candidate) -> (lhs, rhs)`` gives lhs <= sigma * rhs + atol, where
+    atol = ``cfg.accept_atol * scale``.
+
+    Returns
+    -------
+    (candidate, lhs, rhs, refinements, atol)
+
+    Raises
+    ------
+    CertificationError
+        When ``cfg.inner_cap`` refinements do not produce an acceptable candidate.
+    """
+    atol = cfg.accept_atol * scale
+    inner = 0
+    while True:
+        lhs, rhs = check(candidate)
+        if lhs <= cfg.sigma * rhs + atol:
+            return candidate, lhs, rhs, inner, atol
+        if inner >= cfg.inner_cap:
+            raise CertificationError(
+                f"{method}: iteration {k} not certified after {inner} refinements "
+                f"(lhs={lhs:.6e}, sigma*rhs={cfg.sigma * rhs:.6e})", iteration=k)
+        candidate = refine(candidate)
+        inner += 1
+
+
+def reduced_hpe_run(produce, refine, k, w, cfg, method="reduced-hpe"):
+    """One certified step of the reduced loop in the factor space w = C* u.
+
+    The DR and DY methods step through here; CP certifies its own M-seminorm
+    check, since its preconditioner has no cheap onto factor.
 
     Parameters
     ----------
@@ -222,67 +193,30 @@ def reduced_hpe_run(produce, refine, w0, cfg, max_outer, objective=None,
         C z in A(u_tilde); ``z`` is the reduced witness and ``s = C* u_tilde``.
     refine : callable
         ``refine(k, w, pair) -> (u_tilde, z, s)`` improving the proposal so
-        that ||lam z + s - w|| shrinks; called until the check passes.
-    w0 : ndarray
-        Initial reduced iterate.
+        that ||z + s - w|| shrinks; called until the check passes.
+    k : int
+        Outer iteration index, passed to the callbacks and named in errors.
+    w : ndarray
+        Current reduced iterate.
     cfg : HpeConfig
-    max_outer : int
-        Number of outer iterations to run.
-    objective : callable, optional
-        ``objective(u_tilde) -> float`` recorded per iteration (NaN when absent).
-    h_counter : callable, optional
-        Returns the cumulative count of the dominant operator applications.
     method : str
-        Label stored in the trace.
-    on_accept : callable, optional
-        ``on_accept(k, w_before, pair: CertifiedPair, w_after)`` called once per
-        accepted iteration, after the extragradient update.
+        Label used in error messages.
 
     Returns
     -------
-    RunTrace
+    (w - z, u_tilde, StepRecord) for the accepted pair.
 
     Raises
     ------
     CertificationError
         When ``cfg.inner_cap`` refinements do not produce an acceptable pair.
     """
-    w = np.array(w0, dtype=float)
-    trace = RunTrace(method=method, sigma=cfg.sigma)
-    if cfg.record_invariants:
-        trace.iterates = [w.copy()]
-    count = h_counter if h_counter is not None else (lambda: 0)
-
-    for k in range(max_outer):
-        t0 = time.perf_counter()
-        lam = cfg.stepsize(k)
-        u_tilde, z, s = produce(k, w)
-        atol = cfg.accept_atol * (1.0 + float(np.linalg.norm(w)))
-        inner = 0
-        while True:
-            lhs = float(np.linalg.norm(lam * z + s - w))
-            rhs = float(np.linalg.norm(s - w))
-            if lhs <= cfg.sigma * rhs + atol:
-                break
-            if inner >= cfg.inner_cap:
-                raise CertificationError(
-                    f"{method}: iteration {k} not certified after {inner} refinements "
-                    f"(lhs={lhs:.6e}, sigma*rhs={cfg.sigma * rhs:.6e})",
-                    iteration=k)
-            u_tilde, z, s = refine(k, w, (u_tilde, z, s))
-            inner += 1
-        w_before = w
-        w = w - lam * z
-        if on_accept is not None:
-            on_accept(k, w_before, CertifiedPair(u_tilde, z, lhs, rhs, inner), w)
-        obj = float(objective(u_tilde)) if objective is not None else float("nan")
-        trace.append(k, obj, lhs, rhs, inner, count(),
-                     residual=lam * float(np.linalg.norm(z)),
-                     wall_ms=(time.perf_counter() - t0) * 1e3,
-                     accept_tol=atol)
-        if cfg.record_invariants:
-            trace.iterates.append(w.copy())
-    return trace
+    (u_tilde, z, _), lhs, rhs, inner, atol = certify(
+        cfg, produce(k, w), lambda pair: refine(k, w, pair),
+        lambda pair: (float(np.linalg.norm(pair[1] + pair[2] - w)),
+                      float(np.linalg.norm(pair[2] - w))),
+        1.0 + float(np.linalg.norm(w)), k, method)
+    return w - z, u_tilde, StepRecord(lhs, rhs, inner, float(np.linalg.norm(z)), atol)
 
 
 @dataclass
@@ -308,7 +242,7 @@ def audit_invariants(trace, sigma, u_star_seminorms=None, rtol=1e-9, step_floor=
     """Check the fundamental estimates of the extragradient loop on a trace.
 
     Per accepted iteration: the acceptance inequality itself, the two-sided
-    bound (1 - sigma) * step <= ||lam v||_M <= (1 + sigma) * step, and - when
+    bound (1 - sigma) * step <= ||v||_M <= (1 + sigma) * step, and - when
     ``u_star_seminorms`` supplies d_k = ||u^k - u*||_M for k = 0..K - the
     quasi-Fejer inequality d_{k+1}^2 + (1 - sigma^2) step_k^2 <= d_k^2 and its
     summed form.  ``step_floor``, when given, requires the final step seminorm
@@ -332,7 +266,7 @@ def audit_invariants(trace, sigma, u_star_seminorms=None, rtol=1e-9, step_floor=
             failures.append(f"k={k}: acceptance violated: lhs={lhs[k]:.12e} > "
                             f"sigma*rhs={sigma * steps[k]:.12e}")
         if resid[k] < (1 - sigma) * steps[k] - tol or resid[k] > (1 + sigma) * steps[k] + tol:
-            failures.append(f"k={k}: two-sided estimate violated: ||lam v||_M={resid[k]:.12e} "
+            failures.append(f"k={k}: two-sided estimate violated: ||v||_M={resid[k]:.12e} "
                             f"vs [{(1 - sigma) * steps[k]:.12e}, {(1 + sigma) * steps[k]:.12e}]")
 
     if fejer:

@@ -130,10 +130,6 @@ class StoppingRule:
     def from_predicate(cls, fn, cap=None):
         return cls(predicate=fn, cap=cap)
 
-    @classmethod
-    def iteration_cap(cls, cap):
-        return cls(cap=cap)
-
 
 def cg_solve(apply, b, x0=None, stop=None):
     """Conjugate gradients for a symmetric positive semidefinite system.

@@ -1,11 +1,14 @@
 """Splitting methods: three certified inexact schemes and their baselines.
 
+Every runner defines one outer step and hands it to `hpe.iterate`, which owns
+the loop, the timing, the objective, the trace and the recorded iterates.
 The inexact methods (`eckstein_yao_run`, `inexact_cp_run`, `inexact_dy_run`)
 drive a refinable resolvent oracle for the hard term and stop its inner CG as
-soon as the relative-error check passes.  An oracle is anything with the
-`LsqResolvent` protocol: ``set_target(rhs) -> (candidate, witness)`` carrying
-the previous candidate as warm start, and ``refine(steps) -> (candidate,
-witness)``.
+soon as the relative-error check of `hpe.certify` passes: DR and DY through
+the reduced step `hpe.reduced_hpe_run`, CP with its own M-seminorm check.
+An oracle is anything with the `LsqResolvent` protocol: ``set_target(rhs) ->
+(candidate, witness)`` carrying the previous candidate as warm start, and
+``refine(steps) -> (candidate, witness)``.
 
 Baselines: the same primal-dual iteration with a fixed-tolerance inner solve
 (`implicit_cp_run`, `implicit_dy_run`), the fully dualized explicit variant
@@ -13,13 +16,13 @@ Baselines: the same primal-dual iteration with a fixed-tolerance inner solve
 plain forward-backward (`fb_run`).
 """
 
-import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
-from .hpe import CertificationError, HpeConfig, RunTrace, reduced_hpe_run
+from .hpe import HpeConfig, RunTrace, StepRecord, certify, iterate, reduced_hpe_run
 from .linalg import NumericalError, StoppingRule, cg_solve, estimate_spectral_norm
 from .operators import clip, huber_gradient, soft_threshold
 
@@ -106,6 +109,12 @@ def _counter(h_counter, oracle):
     return lambda: 0
 
 
+def _oracle_callbacks(oracle, assemble):
+    """The produce/refine callbacks of `reduced_hpe_run` around a refinable oracle."""
+    return (lambda k, w: assemble(*oracle.set_target(w)),
+            lambda k, w, pair: assemble(*oracle.refine(1)))
+
+
 # ---------------------------------------------------------------------------
 # certified inexact methods
 # ---------------------------------------------------------------------------
@@ -125,14 +134,12 @@ def eckstein_yao_run(a1_oracle, j_a2, tau, sigma, w0, iters, inner_cap=200,
     computed as well and cross-checked; the maximal discrepancy is reported in
     ``aux['update_crosscheck']``.
 
-    Parameters mirror `reduced_hpe_run`; `objective`, when given, is evaluated
-    at x2.
+    `objective`, when given, is evaluated at x2.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    cfg = HpeConfig(sigma=sigma, inner_cap=inner_cap, accept_atol=accept_atol,
-                    record_invariants=record_invariants)
-    state = {"crosscheck": 0.0, "x1": None, "x2": None, "w": np.array(w0, dtype=float)}
+    cfg = HpeConfig(sigma=sigma, inner_cap=inner_cap, accept_atol=accept_atol)
+    crosscheck = 0.0
 
     def assemble(x1, a1):
         x2 = j_a2(x1 - tau * a1)
@@ -141,32 +148,23 @@ def eckstein_yao_run(a1_oracle, j_a2, tau, sigma, w0, iters, inner_cap=200,
         s = tau * a1 + x2
         return (x1, x2, a1, ta2), z, s
 
-    def produce(k, w):
-        x1, a1 = a1_oracle.set_target(w)
-        return assemble(x1, a1)
+    produce, refine = _oracle_callbacks(a1_oracle, assemble)
 
-    def refine(k, w, pair):
-        x1, a1 = a1_oracle.refine(1)
-        return assemble(x1, a1)
-
-    def on_accept(k, w_before, pair, w_after):
-        x1, x2, a1, ta2 = pair.u_tilde
-        w_alt = w_before - (tau * a1 + ta2)
-        gap = float(np.linalg.norm(w_alt - w_after))
-        state["crosscheck"] = max(state["crosscheck"], gap)
-        if gap > 1e-10 * (1.0 + np.linalg.norm(w_after)):
+    def step(k, state):
+        nonlocal crosscheck
+        w = state[1]
+        w_next, (x1, x2, a1, ta2), rec = reduced_hpe_run(produce, refine, k, w, cfg, method)
+        gap = float(np.linalg.norm(w - (tau * a1 + ta2) - w_next))
+        crosscheck = max(crosscheck, gap)
+        if gap > 1e-10 * (1.0 + np.linalg.norm(w_next)):
             raise NumericalError(f"step-9 update forms disagree at iteration {k}: {gap:.3e}")
-        state["x1"], state["x2"] = x1, x2
-        state["w"] = w_after
+        return (x2, w_next, x1), rec
 
-    obj = None if objective is None else (lambda ut: objective(ut[1]))
-    trace = reduced_hpe_run(produce, refine, w0, cfg, iters, objective=obj,
-                            h_counter=_counter(h_counter, a1_oracle),
-                            method=method, on_accept=on_accept)
-    final_x = state["x2"] if state["x2"] is not None else np.array(w0, dtype=float)
-    return MethodResult(trace, final_x,
-                        aux={"w": state["w"], "x1": state["x1"],
-                             "update_crosscheck": state["crosscheck"]})
+    w0 = np.array(w0, dtype=float)
+    trace, (x2, w, x1) = iterate(step, (w0, w0, None), iters, objective,
+                                 _counter(h_counter, a1_oracle),
+                                 itemgetter(1) if record_invariants else None, method, sigma)
+    return MethodResult(trace, x2, aux={"w": w, "x1": x1, "update_crosscheck": crosscheck})
 
 
 def inexact_cp_run(a1_oracle, K, j_a2_inv, p, x0, y0, iters, inner_cap=200,
@@ -185,51 +183,41 @@ def inexact_cp_run(a1_oracle, K, j_a2_inv, p, x0, y0, iters, inner_cap=200,
 
     `objective`, when given, is evaluated at the updated primal iterate.
     """
-    tau, theta, sigma = p.tau, p.theta, p.sigma
+    tau, theta = p.tau, p.theta
     if norm_K is None:
         norm_K = estimate_spectral_norm(K)
     p.validate_norm(norm_K)
+    cfg = HpeConfig(sigma=p.sigma, inner_cap=inner_cap, accept_atol=accept_atol)
 
-    x = np.array(x0, dtype=float)
-    y = np.array(y0, dtype=float)
-    trace = RunTrace(method=method, sigma=sigma)
-    if record_invariants:
-        trace.iterates = [np.concatenate([x, y])]
-    count = _counter(h_counter, a1_oracle)
+    def m_norm(dx, dy, k_apply):
+        quad = float(dx @ dx) / tau - 2.0 * float(k_apply(dx) @ dy) + float(dy @ dy) / theta
+        return np.sqrt(max(quad, 0.0))
 
-    def m_norm_sq(dx, dy):
-        quad = float(dx @ dx) / tau - 2.0 * float(K.apply(dx) @ dy) + float(dy @ dy) / theta
-        return max(quad, 0.0)
-
-    for k in range(iters):
-        t0 = time.perf_counter()
+    def step(k, state):
+        x, y = state
         ky = K.apply_adjoint(y)
         rhs = x - tau * ky
-        x1, a = a1_oracle.set_target(rhs)
-        atol = accept_atol * (1.0 + np.linalg.norm(rhs) + np.linalg.norm(y))
-        inner = 0
-        while True:
-            yt = j_a2_inv(y + theta * K.apply(x1 - tau * (a + ky)))
-            r = tau * a + x1 - rhs
-            lhs = float(np.linalg.norm(r)) / np.sqrt(tau)
-            rhs_norm = np.sqrt(m_norm_sq(x1 - x, yt - y))
-            if lhs <= sigma * rhs_norm + atol:
-                break
-            if inner >= inner_cap:
-                raise CertificationError(
-                    f"{method}: iteration {k} not certified after {inner} refinements "
-                    f"(lhs={lhs:.6e}, sigma*rhs={sigma * rhs_norm:.6e})", iteration=k)
-            x1, a = a1_oracle.refine(1)
-            inner += 1
-        x_new = rhs - tau * a
-        y_new = yt
-        residual = np.sqrt(m_norm_sq(x_new - x, y_new - y))
-        x, y = x_new, y_new
-        obj = float(objective(x)) if objective is not None else float("nan")
-        trace.append(k, obj, lhs, rhs_norm, inner, count(), residual,
-                     wall_ms=(time.perf_counter() - t0) * 1e3, accept_tol=atol)
-        if record_invariants:
-            trace.iterates.append(np.concatenate([x, y]))
+
+        def assemble(x1, a):
+            return x1, a, j_a2_inv(y + theta * K.apply(x1 - tau * (a + ky)))
+
+        def check(pair):
+            x1, a, yt = pair
+            return (float(np.linalg.norm(tau * a + x1 - rhs)) / np.sqrt(tau),
+                    m_norm(x1 - x, yt - y, K.apply))
+
+        (_, a, yt), lhs, rhs_norm, inner, atol = certify(
+            cfg, assemble(*a1_oracle.set_target(rhs)),
+            lambda pair: assemble(*a1_oracle.refine(1)), check,
+            1.0 + np.linalg.norm(rhs) + np.linalg.norm(y), k, method)
+        x_next = rhs - tau * a
+        # read only by audit_invariants, so its K application is uncounted
+        residual = m_norm(x_next - x, yt - y, K.apply_uncounted)
+        return (x_next, yt), StepRecord(lhs, rhs_norm, inner, residual, atol)
+
+    trace, (x, y) = iterate(step, (np.array(x0, dtype=float), np.array(y0, dtype=float)),
+                            iters, objective, _counter(h_counter, a1_oracle),
+                            np.concatenate if record_invariants else None, method, p.sigma)
     return MethodResult(trace, x, aux={"y": y})
 
 
@@ -248,10 +236,8 @@ def inexact_dy_run(a1_oracle, j_a2, b_apply, p, w0, iters, inner_cap=200,
 
     `objective`, when given, is evaluated at x2.
     """
-    gamma, alpha, sigma = p.gamma, p.alpha, p.sigma
-    cfg = HpeConfig(sigma=sigma, inner_cap=inner_cap, accept_atol=accept_atol,
-                    record_invariants=record_invariants)
-    state = {"x1": None, "x2": None, "w": np.array(w0, dtype=float)}
+    gamma, alpha = p.gamma, p.alpha
+    cfg = HpeConfig(sigma=p.sigma, inner_cap=inner_cap, accept_atol=accept_atol)
 
     def assemble(x1, a1):
         x2 = j_a2(x1 - gamma * a1 - gamma * b_apply(x1))
@@ -259,31 +245,24 @@ def inexact_dy_run(a1_oracle, j_a2, b_apply, p, w0, iters, inner_cap=200,
         s = (alpha * x1 + x2) / (1.0 + alpha) + gamma * a1
         return (x1, x2), z, s
 
-    def produce(k, w):
-        x1, a1 = a1_oracle.set_target(w)
-        return assemble(x1, a1)
+    produce, refine = _oracle_callbacks(a1_oracle, assemble)
 
-    def refine(k, w, pair):
-        x1, a1 = a1_oracle.refine(1)
-        return assemble(x1, a1)
+    def step(k, state):
+        w_next, (x1, x2), rec = reduced_hpe_run(produce, refine, k, state[1], cfg, method)
+        return (x2, w_next, x1), rec
 
-    def on_accept(k, w_before, pair, w_after):
-        state["x1"], state["x2"] = pair.u_tilde
-        state["w"] = w_after
-
-    obj = None if objective is None else (lambda ut: objective(ut[1]))
-    trace = reduced_hpe_run(produce, refine, w0, cfg, iters, objective=obj,
-                            h_counter=_counter(h_counter, a1_oracle),
-                            method=method, on_accept=on_accept)
-    final_x = state["x2"] if state["x2"] is not None else np.array(w0, dtype=float)
-    return MethodResult(trace, final_x, aux={"x1": state["x1"], "w": state["w"]})
+    w0 = np.array(w0, dtype=float)
+    trace, (x2, w, x1) = iterate(step, (w0, w0, None), iters, objective,
+                                 _counter(h_counter, a1_oracle),
+                                 itemgetter(1) if record_invariants else None, method, p.sigma)
+    return MethodResult(trace, x2, aux={"x1": x1, "w": w})
 
 
 # ---------------------------------------------------------------------------
 # baselines
 # ---------------------------------------------------------------------------
 
-def _lsq_cg_step(H, htf, tau, b, x_warm, cg_tol, cap):
+def _lsq_cg_step(H, tau, b, x_warm, cg_tol, cap):
     """One fixed-tolerance inner solve of (I + tau HtH) x = b, warm-started."""
 
     def apply(v):
@@ -308,25 +287,19 @@ def implicit_cp_run(H, f, D, lam, p, x0, y0, iters, cg_tol=1e-8, cg_cap=None,
     """
     tau, theta = p.tau, p.theta
     f = np.asarray(f, dtype=float)
-    x = np.array(x0, dtype=float)
-    y = np.array(y0, dtype=float)
-    cap = cg_cap if cg_cap is not None else 10 * x.size
+    x0 = np.array(x0, dtype=float)
+    cap = cg_cap if cg_cap is not None else 10 * x0.size
     htf = H.apply_adjoint(f)
-    trace = RunTrace(method=method, sigma=None)
-    if record_invariants:
-        trace.iterates = [np.concatenate([x, y])]
 
-    for k in range(iters):
-        t0 = time.perf_counter()
+    def step(k, state):
+        x, y = state
         b = x - tau * (D.apply_adjoint(y) - htf)
-        x_new, it = _lsq_cg_step(H, htf, tau, b, x, cg_tol, cap)
-        y_new = clip(y + theta * D.apply(2.0 * x_new - x), lam)
-        x, y = x_new, y_new
-        obj = float(objective(x)) if objective is not None else float("nan")
-        trace.append(k, obj, 0.0, 0.0, it, H.total_count, 0.0,
-                     wall_ms=(time.perf_counter() - t0) * 1e3)
-        if record_invariants:
-            trace.iterates.append(np.concatenate([x, y]))
+        x_next, it = _lsq_cg_step(H, tau, b, x, cg_tol, cap)
+        return (x_next, clip(y + theta * D.apply(2.0 * x_next - x), lam)), StepRecord(inner=it)
+
+    trace, (x, y) = iterate(step, (x0, np.array(y0, dtype=float)), iters, objective,
+                            lambda: H.total_count,
+                            np.concatenate if record_invariants else None, method)
     return MethodResult(trace, x, aux={"y": y})
 
 
@@ -348,39 +321,28 @@ def explicit_cp_run(H, f, D, lam, kappa, x0, u0, v0, iters, norm_K=None,
     tau = 1.0 / (norm_K * kappa)
     theta = kappa / norm_K
     f = np.asarray(f, dtype=float)
-    x = np.array(x0, dtype=float)
-    u = np.array(u0, dtype=float)
-    v = np.array(v0, dtype=float)
-    trace = RunTrace(method=method, sigma=None)
-    if record_invariants:
-        trace.iterates = [x.copy()]
 
-    for k in range(iters):
-        t0 = time.perf_counter()
-        x_new = x - tau * (H.apply_adjoint(u) + D.apply_adjoint(v))
-        xbar = 2.0 * x_new - x
-        u = (u + theta * (H.apply(xbar) - f)) / (1.0 + theta)
-        v = clip(v + theta * D.apply(xbar), lam)
-        x = x_new
-        obj = float(objective(x)) if objective is not None else float("nan")
-        trace.append(k, obj, 0.0, 0.0, 0, H.total_count, 0.0,
-                     wall_ms=(time.perf_counter() - t0) * 1e3)
-        if record_invariants:
-            trace.iterates.append(x.copy())
+    def step(k, state):
+        x, u, v = state
+        x_next = x - tau * (H.apply_adjoint(u) + D.apply_adjoint(v))
+        xbar = 2.0 * x_next - x
+        return (x_next, (u + theta * (H.apply(xbar) - f)) / (1.0 + theta),
+                clip(v + theta * D.apply(xbar), lam)), StepRecord()
+
+    start = tuple(np.array(a, dtype=float) for a in (x0, u0, v0))
+    trace, (x, u, v) = iterate(step, start, iters, objective, lambda: H.total_count,
+                               itemgetter(0) if record_invariants else None, method)
     return MethodResult(trace, x, aux={"u": u, "v": v, "tau": tau, "theta": theta})
 
 
 def condat_vu_run(H, f, D, lam, tau, theta, x0, y0, iters, norm_H=None, norm_D=None,
-                  record_invariants=False, objective=None, flipped_dual_sign=False,
-                  method="condat-vu"):
+                  record_invariants=False, objective=None, method="condat-vu"):
     """Forward-step primal-dual iteration on the data term.
 
         x <- x - tau*(Ht(H x - f) + Dt y)
         y <- clip(y + theta*D(2 x_new - x), lam)
 
     requiring 0 < tau < 2/||H||^2 and 0 < theta < (1/tau - ||H||^2/2)/||D||^2.
-    ``flipped_dual_sign=True`` flips the dual transfer to
-    x - tau*(Ht(H x - f) - Dt y); the default is the standard convergent form.
     """
     if norm_H is None:
         norm_H = estimate_spectral_norm(H)
@@ -392,26 +354,16 @@ def condat_vu_run(H, f, D, lam, tau, theta, x0, y0, iters, norm_H=None, norm_D=N
     theta_max = (1.0 / tau - norm_H ** 2 / 2.0) / max(norm_D ** 2, 1e-300)
     if not 0 < theta < theta_max:
         raise ValueError(f"theta must lie in (0, {theta_max:.6g}), got {theta}")
-
     f = np.asarray(f, dtype=float)
-    x = np.array(x0, dtype=float)
-    y = np.array(y0, dtype=float)
-    dual_sign = -1.0 if flipped_dual_sign else 1.0
-    trace = RunTrace(method=method, sigma=None)
-    if record_invariants:
-        trace.iterates = [x.copy()]
 
-    for k in range(iters):
-        t0 = time.perf_counter()
-        grad = H.apply_adjoint(H.apply(x) - f)
-        x_new = x - tau * (grad + dual_sign * D.apply_adjoint(y))
-        y = clip(y + theta * D.apply(2.0 * x_new - x), lam)
-        x = x_new
-        obj = float(objective(x)) if objective is not None else float("nan")
-        trace.append(k, obj, 0.0, 0.0, 0, H.total_count, 0.0,
-                     wall_ms=(time.perf_counter() - t0) * 1e3)
-        if record_invariants:
-            trace.iterates.append(x.copy())
+    def step(k, state):
+        x, y = state
+        x_next = x - tau * (H.apply_adjoint(H.apply(x) - f) + D.apply_adjoint(y))
+        return (x_next, clip(y + theta * D.apply(2.0 * x_next - x), lam)), StepRecord()
+
+    trace, (x, y) = iterate(step, (np.array(x0, dtype=float), np.array(y0, dtype=float)),
+                            iters, objective, lambda: H.total_count,
+                            itemgetter(0) if record_invariants else None, method)
     return MethodResult(trace, x, aux={"y": y})
 
 
@@ -440,28 +392,21 @@ def implicit_dy_run(H, f, D, lam1, lam2, delta, w0, iters, gamma=None, beta=None
     params = DyParams(gamma=gamma, beta=beta)  # validates gamma in (0, 2/beta)
     alpha = params.alpha
     f = np.asarray(f, dtype=float)
-    w = np.array(w0, dtype=float)
-    cap = cg_cap if cg_cap is not None else 10 * w.size
+    w0 = np.array(w0, dtype=float)
+    cap = cg_cap if cg_cap is not None else 10 * w0.size
     htf = H.apply_adjoint(f)
-    x1 = w.copy()
-    trace = RunTrace(method=method, sigma=None)
-    if record_invariants:
-        trace.iterates = [w.copy()]
 
-    for k in range(iters):
-        t0 = time.perf_counter()
-        b = w + gamma * htf
-        x1, it = _lsq_cg_step(H, htf, gamma, b, x1, cg_tol, cap)
+    def step(k, state):
+        _, w, x1 = state
+        x1, it = _lsq_cg_step(H, gamma, w + gamma * htf, x1, cg_tol, cap)
         x2 = soft_threshold(2.0 * x1 - w - gamma * _huber_forward(D, lam2, delta, x1),
                             gamma * lam1)
-        w = w + (x2 - x1) / (1.0 + alpha)
-        obj = float(objective(x2)) if objective is not None else float("nan")
-        trace.append(k, obj, 0.0, 0.0, it, H.total_count, 0.0,
-                     wall_ms=(time.perf_counter() - t0) * 1e3)
-        if record_invariants:
-            trace.iterates.append(w.copy())
-    return MethodResult(trace, x2 if iters else w, aux={"w": w, "x1": x1,
-                                                        "gamma": gamma, "alpha": alpha})
+        return (x2, w + (x2 - x1) / (1.0 + alpha), x1), StepRecord(inner=it)
+
+    trace, (x2, w, x1) = iterate(step, (w0, w0, w0.copy()), iters, objective,
+                                 lambda: H.total_count,
+                                 itemgetter(1) if record_invariants else None, method)
+    return MethodResult(trace, x2, aux={"w": w, "x1": x1, "gamma": gamma, "alpha": alpha})
 
 
 def fb_run(H, f, D, lam1, lam2, delta, x0, iters, gamma=None, norm_H=None,
@@ -479,18 +424,13 @@ def fb_run(H, f, D, lam1, lam2, delta, x0, iters, gamma=None, norm_H=None,
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     f = np.asarray(f, dtype=float)
-    x = np.array(x0, dtype=float)
-    trace = RunTrace(method=method, sigma=None)
-    if record_invariants:
-        trace.iterates = [x.copy()]
 
-    for k in range(iters):
-        t0 = time.perf_counter()
+    def step(k, state):
+        x = state[0]
         grad = H.apply_adjoint(H.apply(x) - f) + _huber_forward(D, lam2, delta, x)
-        x = soft_threshold(x - gamma * grad, gamma * lam1)
-        obj = float(objective(x)) if objective is not None else float("nan")
-        trace.append(k, obj, 0.0, 0.0, 0, H.total_count, 0.0,
-                     wall_ms=(time.perf_counter() - t0) * 1e3)
-        if record_invariants:
-            trace.iterates.append(x.copy())
+        return (soft_threshold(x - gamma * grad, gamma * lam1),), StepRecord()
+
+    trace, (x,) = iterate(step, (np.array(x0, dtype=float),), iters, objective,
+                          lambda: H.total_count,
+                          itemgetter(0) if record_invariants else None, method)
     return MethodResult(trace, x, aux={"gamma": gamma})

@@ -1,16 +1,14 @@
 """Proximal building blocks and the refinable resolvent of the least-squares term.
 
-Resolvents come in three flavors here: closed-form maps (`soft_threshold`,
-`clip`), a one-shot linear solve (`lsq_resolvent_exact`), and the stateful
-`LsqResolvent`, which exposes the same solve as a sequence of CG improvements
-so an outer loop can stop it early once a relative-error check passes.
+Closed-form resolvents (`soft_threshold`, `clip`), the Huber penalty and its
+gradient, and the stateful `LsqResolvent`, which solves the least-squares
+resolvent as a sequence of CG improvements so an outer loop can stop it as
+soon as a relative-error check passes.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalError, StoppingRule, cg_solve
+from .linalg import NumericalError
 
 
 def soft_threshold(x, eta):
@@ -28,13 +26,6 @@ def clip(x, lam):
     return np.minimum(np.maximum(np.asarray(x, dtype=float), -lam), lam)
 
 
-def resolvent_dual_l1(y, lam, theta=1.0):
-    """Resolvent of theta * (lam * ||.||_1)^{-1}: clipping, independent of theta > 0."""
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    return clip(y, lam)
-
-
 def huber_value(y, delta):
     """Sum of componentwise Huber penalties: quadratic inside [-delta, delta], linear outside."""
     if delta <= 0:
@@ -50,59 +41,6 @@ def huber_gradient(y, delta):
         raise ValueError(f"delta must be positive, got {delta}")
     y = np.asarray(y, dtype=float)
     return np.where(np.abs(y) <= delta, y, delta * np.sign(y))
-
-
-@dataclass(frozen=True)
-class HuberParams:
-    """Smoothing width and weight of the smoothed total-variation penalty."""
-
-    delta: float
-    lam2: float
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.lam2 <= 0:
-            raise ValueError(f"lam2 must be positive, got {self.lam2}")
-
-    @property
-    def beta(self):
-        """Lipschitz bound 4 * lam2 of the forward term lam2 * Dt grad(D x) for ||D|| <= 2."""
-        return 4.0 * self.lam2
-
-    def value(self, y):
-        return self.lam2 * huber_value(y, self.delta)
-
-    def gradient(self, y):
-        return self.lam2 * huber_gradient(y, self.delta)
-
-
-def lsq_resolvent_exact(H, f, tau, rhs, cg_tol=1e-10, x0=None, cap=None):
-    """Resolvent of tau * Ht(H . - f) at `rhs`: solve (I + tau HtH) x = rhs + tau Ht f.
-
-    Warm-started CG at relative tolerance `cg_tol`; raises NumericalError when
-    the iteration cap (default 10 * n) runs out before the tolerance is met.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    rhs = np.asarray(rhs, dtype=float)
-    n = rhs.size
-    if cap is None:
-        cap = 10 * n
-    b = rhs + tau * H.apply_adjoint(f)
-
-    def apply(v):
-        return v + tau * H.apply_adjoint(H.apply(v))
-
-    x, _ = cg_solve(apply, b, x0=x0, stop=StoppingRule(tol=cg_tol, cap=cap))
-    # verification only, so uncounted
-    res = b - (x + tau * H.apply_adjoint_uncounted(H.apply_uncounted(x)))
-    b_norm = np.linalg.norm(b)
-    rel = np.linalg.norm(res) / b_norm if b_norm > 0 else np.linalg.norm(res)
-    if rel > cg_tol:
-        raise NumericalError(f"CG cap {cap} exhausted at relative residual {rel:.3e} "
-                             f"(requested {cg_tol:.3e})")
-    return x
 
 
 class LsqResolvent:
@@ -130,7 +68,6 @@ class LsqResolvent:
         self._res = None
         self._p = None
         self._rs = 0.0
-        self.steps_on_target = 0
 
     @property
     def candidate(self):
@@ -163,11 +100,13 @@ class LsqResolvent:
         self._res = self._rhs - self._x - self.tau * self._a
         self._p = self._res.copy()
         self._rs = float(self._res @ self._res)
-        self.steps_on_target = 0
         return self._x, self._a
 
     def refine(self, steps=1):
         """Advance CG by `steps` iterations; returns the updated (candidate, witness)."""
+        # not linalg.cg_solve: the residual is rebuilt from the exact witness
+        # after every step (that is the certificate), where cg_solve updates it
+        # by recurrence, so a shared step would branch on its caller
         if self._rhs is None:
             raise RuntimeError("set_target must be called before refine")
         for _ in range(steps):
@@ -186,10 +125,5 @@ class LsqResolvent:
             rs_new = float(self._res @ self._res)
             self._p = self._res + (rs_new / self._rs) * self._p
             self._rs = rs_new
-            self.steps_on_target += 1
         return self._x, self._a
 
-
-def lsq_refine(oracle, steps=1):
-    """Improve the oracle's (candidate, witness) pair by `steps` CG iterations."""
-    return oracle.refine(steps)

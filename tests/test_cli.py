@@ -140,6 +140,20 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="key = value"):
             config_from_file(path)
 
+    def test_unknown_key_rejected_with_line(self, tmp_path, capsys):
+        path = tmp_path / "typo.cfg"
+        path.write_text("family = cp\nlam = 0.5\nbogus = 3\n")
+        with pytest.raises(ValueError, match=r"typo\.cfg:3: unknown key 'bogus'"):
+            config_from_file(path)
+        assert main(["run", str(path)]) == 1
+        assert "unknown key 'bogus'" in capsys.readouterr().err
+
+    def test_zero_inner_cap_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nocap.cfg"
+        path.write_text("family = cp\nlam = 0.5\ninner_cap = 0\n")
+        assert main(["run", str(path)]) == 1
+        assert "inner_cap must be >= 1" in capsys.readouterr().err
+
     def test_unknown_method_rejected_at_parse_time(self, tmp_path, capsys):
         path = tmp_path / "bad-method.cfg"
         path.write_text("family = cp\nlam = 0.5\nmethods = hpe-cp, typo-method\n")
@@ -269,6 +283,20 @@ class TestMainCli:
         trace = tmp_path / "cp1-run2" / "hpe-cp.csv"
         assert main(["audit", str(trace), "--sigma", "0.95"]) == 0
         assert main(["audit", str(trace), "--sigma", "0.0"]) == 2
+
+    def test_negative_iterations_exit_code(self, tmp_path, capsys):
+        code = main(["run", "cp1-run2", "--m", "20", "--n", "20", "--iters", "-3",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: iters must be nonnegative, got -3\n"
+        assert not (tmp_path / "cp1-run2").exists()
+
+    def test_zero_iterations_exit_code(self, tmp_path, capsys):
+        code = main(["run", "cp1-run2", "--m", "20", "--n", "20", "--iters", "0",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert "hpe-cp: final gap none" in capsys.readouterr().out
+        assert (tmp_path / "cp1-run2" / "summary.json").exists()
 
     def test_unknown_experiment_exit_code(self, capsys):
         assert main(["run", "not-an-experiment"]) == 1

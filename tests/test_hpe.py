@@ -4,12 +4,10 @@ import pytest
 from hpesplit.hpe import (
     CertificationError,
     HpeConfig,
-    Preconditioner,
     RunTrace,
     audit_invariants,
-    hpe_error_check,
-    hpe_update,
-    m_seminorm,
+    certify,
+    iterate,
     reduced_hpe_run,
 )
 from hpesplit.linalg import LinearMap
@@ -104,139 +102,68 @@ def toy_proxes(tau):
     return prox1, prox2
 
 
-class TestSeminorm:
-    def test_dr_factor_formula(self):
-        n = 4
-        P = Preconditioner.from_factor(dr_factor(n))
-        rng = np.random.default_rng(0)
-        a, b, c = rng.standard_normal((3, n))
-        u = np.concatenate([a, b, c])
-        assert m_seminorm(P, u) == pytest.approx(np.linalg.norm(a - b + c), rel=1e-14)
+def run_reduced(produce, refine, w0, cfg, iters):
+    """Drive the reduced step with the shared outer loop, recording w^0 .. w^K."""
 
-    def test_kernel_vector_gives_zero(self):
-        n = 3
-        P = Preconditioner.from_factor(dr_factor(n))
-        v = np.array([1.0, -2.0, 0.5])
-        u = np.concatenate([v, v, np.zeros(n)])  # a - b + c = 0
-        assert m_seminorm(P, u) == 0.0
+    def step(k, state):
+        w, u_tilde, rec = reduced_hpe_run(produce, refine, k, state[1], cfg)
+        return (u_tilde, w), rec
 
-    def test_block_diagonal_primal_dual_case(self):
-        # coupling K = 0: the norm splits into scaled primal and dual parts
-        tau, theta = 0.5, 2.0
-        n = 3
-        M = np.block([[np.eye(n) / tau, np.zeros((n, n))],
-                      [np.zeros((n, n)), np.eye(n) / theta]])
-        P = Preconditioner.from_matrix(M)
-        rng = np.random.default_rng(1)
-        x, y = rng.standard_normal((2, n))
-        expected = np.sqrt(np.linalg.norm(x) ** 2 / tau + np.linalg.norm(y) ** 2 / theta)
-        assert m_seminorm(P, np.concatenate([x, y])) == pytest.approx(expected, rel=1e-12)
+    trace, _ = iterate(step, (None, np.array(w0, dtype=float)), iters,
+                       record=lambda state: state[1], sigma=cfg.sigma)
+    return trace
 
-    def test_negative_rounding_clamped(self):
-        M = np.array([[1e-30, 0.0], [0.0, -1e-18]])
-        P = Preconditioner.from_matrix(M)
-        assert m_seminorm(P, np.array([0.0, 1.0])) == 0.0
 
-    def test_dimension_mismatch(self):
-        P = Preconditioner.from_matrix(np.eye(2))
-        with pytest.raises(ValueError):
-            m_seminorm(P, np.ones(3))
-
-    def test_self_check_passes_for_valid_factor(self):
-        Preconditioner.from_factor(dr_factor(5)).self_check(trials=50)
-
-    def test_self_check_rejects_indefinite(self):
-        P = Preconditioner.from_matrix(np.diag([1.0, -1.0]))
-        with pytest.raises(ValueError):
-            P.self_check(trials=50)
-
-    def test_seminorm_properties(self):
-        # homogeneity and triangle inequality on random vectors
-        P = Preconditioner.from_factor(dr_factor(4))
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            u, v = rng.standard_normal((2, 12))
-            c = float(rng.uniform(-3, 3))
-            assert m_seminorm(P, c * u) == pytest.approx(abs(c) * m_seminorm(P, u),
-                                                         rel=1e-12, abs=1e-14)
-            assert m_seminorm(P, u + v) <= m_seminorm(P, u) + m_seminorm(P, v) + 1e-12
-
-    def test_factor_and_matrix_paths_agree(self):
-        C = dr_factor(3)
-        Pf = Preconditioner.from_factor(C)
-        M = C.as_matrix() @ C.as_matrix().T
-        Pm = Preconditioner.from_matrix(M)
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            u = rng.standard_normal(9)
-            assert Pf.seminorm(u) == pytest.approx(Pm.seminorm(u), rel=1e-10, abs=1e-12)
+def never_refine(*args):
+    raise AssertionError("an acceptable proposal must not be refined")
 
 
 class TestErrorCheck:
-    def setup_method(self):
-        self.P = Preconditioner.from_factor(dr_factor(2))
-        rng = np.random.default_rng(3)
-        self.u = rng.standard_normal(6)
-        self.u_tilde = rng.standard_normal(6)
+    """The acceptance test lhs <= sigma * rhs + accept_atol * scale of `certify`."""
 
     def test_exact_decoupling_accepted_any_sigma(self):
-        # integer-valued vectors and a dyadic stepsize keep the residual
-        # lam*v + u_tilde - u bitwise zero, as in the exact-arithmetic statement
+        # integer-valued vectors keep the residual z + s - w bitwise zero, as in
+        # the exact-arithmetic statement, so even the strict test accepts
         rng = np.random.default_rng(9)
-        u = rng.integers(-5, 5, size=6).astype(float)
-        u_tilde = rng.integers(-5, 5, size=6).astype(float)
-        lam = 0.5
-        v = (u - u_tilde) / lam
+        w = rng.integers(-5, 5, size=6).astype(float)
+        s = rng.integers(-5, 5, size=6).astype(float)
+        produce = lambda k, w_: (None, w - s, s)
         for sigma in (0.0, 0.5, 0.99):
-            accepted, lhs, _ = hpe_error_check(self.P, lam, v, u_tilde, u, sigma)
-            assert accepted
-            assert lhs == 0.0
+            cfg = HpeConfig(sigma=sigma, accept_atol=0.0)
+            w_next, _, rec = reduced_hpe_run(produce, never_refine, 0, w, cfg)
+            assert rec.inner == 0
+            assert rec.lhs == 0.0
+            np.testing.assert_array_equal(w_next, s)
 
     def test_near_exact_decoupling_accepted_positive_sigma(self):
-        lam = 0.7
-        v = (self.u - self.u_tilde) / lam
-        accepted, lhs, rhs = hpe_error_check(self.P, lam, v, self.u_tilde, self.u, 0.5)
-        assert accepted
-        assert lhs <= 1e-14 * max(1.0, rhs)
+        rng = np.random.default_rng(3)
+        w, s = rng.standard_normal((2, 6))
+        produce = lambda k, w_: (None, w - s, s)
+        _, _, rec = reduced_hpe_run(produce, never_refine, 0, w,
+                                    HpeConfig(sigma=0.5, accept_atol=0.0))
+        assert rec.inner == 0
+        assert rec.lhs <= 1e-14 * max(1.0, rec.rhs)
 
     def test_fixed_point_zero_over_zero_accepted(self):
-        accepted, lhs, rhs = hpe_error_check(self.P, 1.0, np.zeros(6), self.u, self.u, 0.0)
-        assert accepted and lhs == 0.0 and rhs == 0.0
+        w = np.array([0.3, -1.2])
+        produce = lambda k, w_: (None, np.zeros(2), w)
+        w_next, _, rec = reduced_hpe_run(produce, never_refine, 0, w,
+                                         HpeConfig(sigma=0.0, accept_atol=0.0))
+        assert rec.lhs == 0.0 and rec.rhs == 0.0 and rec.inner == 0
+        np.testing.assert_array_equal(w_next, w)
 
     def test_sigma_zero_rejects_inexact_witness(self):
-        v = np.ones(6)  # lam*v + u_tilde - u has nonzero factor image
-        lam = 1.0
-        while np.linalg.norm(lam * v + self.u_tilde - self.u) < 1e-6:
-            v = v + 1.0
-        accepted, lhs, rhs = hpe_error_check(self.P, lam, v, self.u_tilde, self.u, 0.0)
-        assert lhs > 0
-        assert not accepted
+        # without a rounding floor any positive lhs is refined until it vanishes
+        cfg = HpeConfig(sigma=0.0, accept_atol=0.0)
+        candidate, lhs, rhs, inner, atol = certify(
+            cfg, 3, lambda c: c - 1, lambda c: (float(c), 1.0), 1.0, 0, "demo")
+        assert (candidate, lhs, rhs, inner, atol) == (0, 0.0, 1.0, 3, 0.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            hpe_error_check(self.P, 0.0, np.zeros(6), self.u, self.u, 0.5)
+            HpeConfig(inner_cap=0)
         with pytest.raises(ValueError):
-            hpe_error_check(self.P, 1.0, np.zeros(6), self.u, self.u, 1.0)
-
-
-class TestUpdate:
-    def test_zero_witness_fixed(self):
-        u = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(hpe_update(u, 0.3, np.zeros(2)), u)
-
-    def test_unit_step_to_zero(self):
-        u = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_allclose(hpe_update(u, 1.0, u), np.zeros(3))
-
-    def test_updates_telescope(self):
-        rng = np.random.default_rng(5)
-        u0 = rng.standard_normal(4)
-        u = u0.copy()
-        lams = rng.uniform(0.1, 2.0, size=6)
-        vs = rng.standard_normal((6, 4))
-        for lam, v in zip(lams, vs):
-            u = hpe_update(u, lam, v)
-        np.testing.assert_allclose(u, u0 - (lams[:, None] * vs).sum(axis=0), rtol=1e-13)
+            HpeConfig(accept_atol=-1e-14)
 
 
 class TestReducedRun:
@@ -244,9 +171,9 @@ class TestReducedRun:
         tau = 0.8
         prox1, prox2 = toy_proxes(tau)
         produce, refine = make_dr_callbacks(prox1, prox2, tau)
-        cfg = HpeConfig(sigma=0.0, record_invariants=True)
+        cfg = HpeConfig(sigma=0.0)
         w0 = np.array([2.0, -1.0])
-        trace = reduced_hpe_run(produce, refine, w0, cfg, max_outer=25)
+        trace = run_reduced(produce, refine, w0, cfg, 25)
 
         w = w0.copy()
         for k in range(25):
@@ -261,8 +188,8 @@ class TestReducedRun:
         prox1, prox2 = toy_proxes(tau)
         w_star = classical_dr(prox1, prox2, tau, np.array([0.7, 0.7]), 400)
         produce, refine = make_dr_callbacks(prox1, prox2, tau)
-        cfg = HpeConfig(sigma=0.0, record_invariants=True)
-        trace = reduced_hpe_run(produce, refine, w_star, cfg, max_outer=10)
+        cfg = HpeConfig(sigma=0.0)
+        trace = run_reduced(produce, refine, w_star, cfg, 10)
         for w_k in trace.iterates:
             np.testing.assert_allclose(w_k, w_star, atol=1e-10)
         assert max(trace.seminorm_residual) <= 1e-10
@@ -273,8 +200,8 @@ class TestReducedRun:
         prox1, prox2 = toy_proxes(tau)
         w_star = classical_dr(prox1, prox2, tau, w0, 200)  # exact DR oracle
         produce, refine = make_dr_callbacks(prox1, prox2, tau)
-        cfg = HpeConfig(sigma=0.0, record_invariants=True)
-        trace = reduced_hpe_run(produce, refine, w0, cfg, max_outer=200)
+        cfg = HpeConfig(sigma=0.0)
+        trace = run_reduced(produce, refine, w0, cfg, 200)
         assert np.linalg.norm(trace.iterates[-1] - w_star) <= 1e-8
         assert trace.seminorm_residual[-1] <= 1e-8
 
@@ -287,13 +214,14 @@ class TestReducedRun:
 
         cfg = HpeConfig(sigma=0.0, inner_cap=5)
         with pytest.raises(CertificationError) as err:
-            reduced_hpe_run(produce, refine, np.zeros(3), cfg, max_outer=2)
+            run_reduced(produce, refine, np.zeros(3), cfg, 2)
         assert err.value.iteration == 0
 
     def test_empty_run(self):
         produce, refine = make_dr_callbacks(*toy_proxes(1.0), 1.0)
-        trace = reduced_hpe_run(produce, refine, np.zeros(2), HpeConfig(), max_outer=0)
+        trace = run_reduced(produce, refine, np.zeros(2), HpeConfig(), 0)
         assert len(trace) == 0
+        assert len(trace.iterates) == 1
 
 
 class TestFullReducedConsistency:
@@ -303,31 +231,32 @@ class TestFullReducedConsistency:
         prox1, prox2 = toy_proxes(tau)
         oracle_r = ProxPathOracle(prox1, tau, rate=0.25)
         produce_r, refine_r = make_dr_callbacks(prox1, prox2, tau, oracle=oracle_r)
-        cfg = HpeConfig(sigma=0.6, record_invariants=True)
+        cfg = HpeConfig(sigma=0.6)
         w0 = np.array([0.4, 2.0])
-        trace = reduced_hpe_run(produce_r, refine_r, w0, cfg, max_outer=40)
+        trace = run_reduced(produce_r, refine_r, w0, cfg, 40)
 
-        # full-space loop assembled from the primitive ops with matched callbacks
+        # full-space loop with the check in the seminorm ||u||_M = ||C* u||
+        # of M = C C*, and matched callbacks
         C = dr_factor(n)
-        P = Preconditioner.from_factor(C)
+        seminorm = lambda u: float(np.linalg.norm(C.apply_adjoint_uncounted(u)))
         oracle_f = ProxPathOracle(prox1, tau, rate=0.25)
         produce_f, refine_f = make_dr_callbacks(prox1, prox2, tau, oracle=oracle_f)
         u = np.concatenate([w0, np.zeros(n), np.zeros(n)])  # C* u = w0
         for k in range(40):
             w = C.apply_adjoint_uncounted(u)
             u_tilde, z, s = produce_f(k, w)
-            v = np.concatenate([z, np.zeros(n), np.zeros(n)])  # C* v = z, M v = C z
-            full_u_tilde = np.concatenate(u_tilde)
-            accepted, lhs, rhs = hpe_error_check(P, 1.0, v, full_u_tilde, u, cfg.sigma)
             inner = 0
-            while not accepted:
-                u_tilde, z, s = refine_f(k, w, (u_tilde, z, s))
-                v = np.concatenate([z, np.zeros(n), np.zeros(n)])
+            while True:
+                v = np.concatenate([z, np.zeros(n), np.zeros(n)])  # C* v = z, M v = C z
                 full_u_tilde = np.concatenate(u_tilde)
-                accepted, lhs, rhs = hpe_error_check(P, 1.0, v, full_u_tilde, u, cfg.sigma)
+                lhs = seminorm(v + full_u_tilde - u)
+                rhs = seminorm(full_u_tilde - u)
+                if lhs <= cfg.sigma * rhs:
+                    break
+                u_tilde, z, s = refine_f(k, w, (u_tilde, z, s))
                 inner += 1
                 assert inner < 200
-            u = hpe_update(u, 1.0, v)
+            u = u - v
             np.testing.assert_allclose(C.apply_adjoint_uncounted(u), trace.iterates[k + 1],
                                        atol=1e-12)
             assert lhs == pytest.approx(trace.lhs[k], abs=1e-12)
@@ -338,8 +267,8 @@ class TestFullReducedConsistency:
         prox1, prox2 = toy_proxes(tau)
         oracle = ProxPathOracle(prox1, tau, rate=0.5)
         produce, refine = make_dr_callbacks(prox1, prox2, tau, oracle=oracle)
-        cfg = HpeConfig(sigma=0.3, record_invariants=True)
-        trace = reduced_hpe_run(produce, refine, np.array([0.9, -2.0]), cfg, max_outer=400)
+        cfg = HpeConfig(sigma=0.3)
+        trace = run_reduced(produce, refine, np.array([0.9, -2.0]), cfg, 400)
         w_star = trace.iterates[-1]
         x = prox1(w_star)
         a1 = (w_star - x) / tau
@@ -350,13 +279,13 @@ class TestFullReducedConsistency:
 
 
 class TestAudit:
-    def run_toy(self, sigma, iters=60, rate=0.5, w0=(1.7, -0.8), record=True):
+    def run_toy(self, sigma, iters=60, rate=0.5, w0=(1.7, -0.8)):
         tau = 1.0
         prox1, prox2 = toy_proxes(tau)
         oracle = None if sigma == 0.0 else ProxPathOracle(prox1, tau, rate=rate)
         produce, refine = make_dr_callbacks(prox1, prox2, tau, oracle=oracle)
-        cfg = HpeConfig(sigma=sigma, record_invariants=record)
-        return reduced_hpe_run(produce, refine, np.array(w0), cfg, max_outer=iters)
+        cfg = HpeConfig(sigma=sigma)
+        return run_reduced(produce, refine, np.array(w0), cfg, iters)
 
     def test_exact_run_residual_equals_step(self):
         trace = self.run_toy(0.0)
@@ -406,13 +335,6 @@ class TestConfig:
             HpeConfig(sigma=1.0)
         with pytest.raises(ValueError):
             HpeConfig(sigma=-0.1)
-
-    def test_stepsize_specs(self):
-        assert HpeConfig(lam=2.0).stepsize(5) == 2.0
-        assert HpeConfig(lam=[1.0, 2.0, 3.0]).stepsize(2) == 3.0
-        assert HpeConfig(lam=lambda k: 1.0 + k).stepsize(3) == 4.0
-        with pytest.raises(ValueError):
-            HpeConfig(lam=0.0).stepsize(0)
 
     def test_trace_rejects_decreasing_counts(self):
         trace = RunTrace()

@@ -215,6 +215,20 @@ class TestInexactCp:
         for k in range(1, len(h)):
             assert h[k] - h[k - 1] == 2 + 4 * inner[k]
 
+    def test_d_counts_exclude_instrumentation(self):
+        # per outer step: Kt y once, then K in the dual candidate and K in the
+        # seminorm check per proposal; the recorded residual's K is uncounted
+        n = 30
+        Hm, f = make_instance(seed=12, m=n, n=n)
+        D = LinearMap(first_difference(n))
+        p = CpParams.from_kappa(0.4, sigma=0.8)
+        iters = 5
+        res = inexact_cp_run(LsqResolvent(LinearMap(Hm), f, p.tau), D,
+                             lambda v: clip(v, 0.3), p, np.zeros(n), np.zeros(n - 1), iters)
+        inner = sum(res.trace.inner_iterations)
+        assert inner > 0
+        assert D.total_count == iters + 2 * (iters + inner)
+
     def test_recorded_seminorms_match_assembled_preconditioner(self):
         # the in-method quadratic form against a dense [[I/tau, -Kt], [-K, I/theta]]
         n = 12
@@ -527,6 +541,55 @@ class TestCounterAudit:
         assert h[0] == 1 + 2 + 2 * inner[0]  # Ht f once, then per-step CG work
         for k in range(1, len(h)):
             assert h[k] - h[k - 1] == 2 + 2 * inner[k]
+
+
+def run_each_method(name, iters):
+    """Run one of the eight runners on a small CP/DY instance, recording iterates."""
+    n = 8
+    Hm, f = make_instance(seed=40, m=n, n=n)
+    H, D = LinearMap(Hm), LinearMap(first_difference(n))
+    x0, y0 = np.zeros(n), np.zeros(n - 1)
+    obj = lambda x: float(x @ x)
+    normH = np.linalg.svd(Hm, compute_uv=False)[0]
+    cp = CpParams.from_kappa(0.5, sigma=0.5)
+    dy = DyParams.from_beta(0.4, sigma=0.5)
+    b_apply = lambda x: 0.1 * D.apply_adjoint(huber_gradient(D.apply(x), 0.05))
+    kw = dict(record_invariants=True, objective=obj)
+    runs = {
+        "hpe-dr": lambda: eckstein_yao_run(LsqResolvent(H, f, 0.9),
+                                           lambda v: soft_threshold(v, 0.1), 0.9, 0.5,
+                                           x0, iters, **kw),
+        "hpe-cp": lambda: inexact_cp_run(LsqResolvent(H, f, cp.tau), D,
+                                         lambda v: clip(v, 0.2), cp, x0, y0, iters, **kw),
+        "hpe-dy": lambda: inexact_dy_run(LsqResolvent(H, f, dy.gamma),
+                                         lambda v: soft_threshold(v, 0.01), b_apply, dy,
+                                         x0, iters, **kw),
+        "implicit-cp": lambda: implicit_cp_run(H, f, D, 0.2, cp, x0, y0, iters, **kw),
+        "explicit-cp": lambda: explicit_cp_run(H, f, D, 0.2, 0.5, x0, np.zeros(n), y0,
+                                               iters, **kw),
+        "condat-vu": lambda: condat_vu_run(H, f, D, 0.2, 1.0 / normH ** 2, 0.01, x0, y0,
+                                           iters, norm_H=normH, norm_D=2.0, **kw),
+        "implicit-dy": lambda: implicit_dy_run(H, f, D, 0.01, 0.1, 0.05, x0, iters, **kw),
+        "fb": lambda: fb_run(H, f, D, 0.01, 0.1, 0.05, x0, iters, norm_H=normH, **kw),
+    }
+    return runs[name]()
+
+
+class TestSharedOuterLoop:
+    @pytest.mark.parametrize("iters", [0, 3])
+    @pytest.mark.parametrize("name", ["hpe-dr", "hpe-cp", "hpe-dy", "implicit-cp",
+                                      "explicit-cp", "condat-vu", "implicit-dy", "fb"])
+    def test_rows_iterates_and_counts(self, name, iters):
+        res = run_each_method(name, iters)
+        trace = res.trace
+        assert len(trace) == iters
+        assert trace.k == list(range(iters))
+        assert len(trace.iterates) == iters + 1
+        assert all(np.isfinite(trace.objective))
+        assert all(b >= a for a, b in zip(trace.h_applications, trace.h_applications[1:]))
+        assert res.final_x.shape == (8,)
+        if iters == 0:
+            np.testing.assert_array_equal(res.final_x, 0.0)
 
 
 class TestRefineMonotonicity:

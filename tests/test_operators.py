@@ -2,17 +2,7 @@ import numpy as np
 import pytest
 
 from hpesplit.linalg import LinearMap
-from hpesplit.operators import (
-    HuberParams,
-    LsqResolvent,
-    clip,
-    huber_gradient,
-    huber_value,
-    lsq_refine,
-    lsq_resolvent_exact,
-    resolvent_dual_l1,
-    soft_threshold,
-)
+from hpesplit.operators import LsqResolvent, clip, huber_gradient, huber_value, soft_threshold
 
 
 def grid_prox_l1(x, eta, lo=-10.0, hi=10.0, step=1e-4):
@@ -68,18 +58,6 @@ class TestClip:
         with pytest.raises(ValueError):
             clip([0.0], -1.0)
 
-    def test_dual_resolvent_independent_of_theta(self):
-        rng = np.random.default_rng(1)
-        y = rng.uniform(-5, 5, size=20)
-        lam = 1.3
-        base = resolvent_dual_l1(y, lam, theta=1.0)
-        for theta in (0.1, 1.0, 10.0):
-            np.testing.assert_array_equal(resolvent_dual_l1(y, lam, theta=theta), base)
-
-    def test_dual_resolvent_rejects_bad_theta(self):
-        with pytest.raises(ValueError):
-            resolvent_dual_l1([0.0], 1.0, theta=0.0)
-
 
 class TestHuber:
     def test_zero(self):
@@ -126,48 +104,6 @@ class TestHuber:
             dg = np.linalg.norm(huber_gradient(y, delta) - huber_gradient(z, delta))
             assert dg <= np.linalg.norm(y - z) * (1 + 1e-12)
 
-    def test_params_container(self):
-        p = HuberParams(delta=0.1, lam2=0.5)
-        assert p.beta == 2.0
-        np.testing.assert_allclose(p.gradient([0.05]), [0.025])
-        assert p.value([0.2]) == pytest.approx(0.5 * 0.1 * (0.2 - 0.05))
-        with pytest.raises(ValueError):
-            HuberParams(delta=0.0, lam2=1.0)
-        with pytest.raises(ValueError):
-            HuberParams(delta=1.0, lam2=0.0)
-
-
-class TestLsqResolventExact:
-    def test_zero_operator_is_identity(self):
-        H = LinearMap.zeros(4, 4)
-        rhs = np.array([1.0, -2.0, 0.5, 3.0])
-        np.testing.assert_allclose(lsq_resolvent_exact(H, np.zeros(4), 1.0, rhs), rhs)
-
-    def test_small_tau_limit(self):
-        rng = np.random.default_rng(2)
-        H = LinearMap(rng.standard_normal((6, 6)))
-        f = rng.standard_normal(6)
-        rhs = rng.standard_normal(6)
-        tau = 1e-12
-        x = lsq_resolvent_exact(H, f, tau, rhs, cg_tol=1e-14)
-        expected = rhs + tau * H.apply_adjoint_uncounted(f)
-        assert np.linalg.norm(x - expected) <= 1e-8
-
-    def test_matches_direct_solve(self):
-        rng = np.random.default_rng(8)
-        Hm = rng.standard_normal((20, 20))
-        H = LinearMap(Hm)
-        f = rng.standard_normal(20)
-        rhs = rng.standard_normal(20)
-        tau = 0.7
-        x = lsq_resolvent_exact(H, f, tau, rhs, cg_tol=1e-12)
-        expected = np.linalg.solve(np.eye(20) + tau * Hm.T @ Hm, rhs + tau * Hm.T @ f)
-        assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
-
-    def test_bad_tau(self):
-        with pytest.raises(ValueError):
-            lsq_resolvent_exact(LinearMap.identity(2), np.zeros(2), 0.0, np.zeros(2))
-
 
 class TestLsqResolventOracle:
     def setup_problem(self, seed=3, n=12, tau=0.5):
@@ -201,7 +137,7 @@ class TestLsqResolventOracle:
         oracle = LsqResolvent(H, f, tau)
         oracle.set_target(rhs)
         for _ in range(8):
-            x, a = lsq_refine(oracle, 1)
+            x, a = oracle.refine(1)
             truth = Hm.T @ (Hm @ x - f)
             scale = 1 + np.linalg.norm(truth)
             assert np.linalg.norm(a - truth) <= 1e-13 * scale
