@@ -50,14 +50,5 @@ from .problems import (
     objective_cp,
     objective_dy,
 )
-from .cli import (
-    ExperimentConfig,
-    NAMED_EXPERIMENTS,
-    named_config,
-    config_from_file,
-    run_experiment,
-    emit_trace,
-    parse_trace_csv,
-)
 
 __version__ = "0.1.0"

@@ -7,7 +7,9 @@ manifest, and audits the certified methods' traces.
 
 Trace CSVs are deterministic for a fixed seed: the wall-time column is written
 as zero unless wall times are explicitly requested (they land in the summary
-either way, which is not part of the reproducibility contract).
+either way, which is not part of the reproducibility contract). They carry
+every number a runner used to accept a step, so `audit_trace_file` re-checks
+an emitted CSV with the same `audit_invariants` that audits the run in memory.
 """
 
 import argparse
@@ -21,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hpe import CertificationError, audit_invariants
+from .hpe import CertificationError, RunTrace, audit_invariants
 from .linalg import estimate_spectral_norm
 from .methods import (
     CpParams,
@@ -39,7 +41,17 @@ from .operators import LsqResolvent, clip, soft_threshold
 from .problems import make_cp_instance, make_dy_instance
 
 OUT_ENV_VAR = "HPESPLIT_OUT"
-TRACE_HEADER = "method,k,objective_gap,lhs,rhs,inner_iters,h_apps,wall_ms"
+# The trace CSV format, column name -> type; the header, `emit_trace` and
+# `parse_trace_csv` all follow this table. accept_tol and residual (||v||_M)
+# come last so that lhs and rhs keep their positions.
+TRACE_COLUMNS = {
+    "method": str, "k": int, "objective_gap": float, "lhs": float, "rhs": float,
+    "inner_iters": int, "h_apps": int, "wall_ms": float, "accept_tol": float,
+    "residual": float,
+}
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
+# the summary's h_apps_at_gap counts H applications until the gap reaches this
+GAP_THRESHOLD = 1e-6
 
 CP_METHODS = ("hpe-cp", "implicit-cp", "condat-vu", "explicit-cp")
 DY_METHODS = ("hpe-dy", "implicit-dy", "fb")
@@ -71,8 +83,6 @@ class ExperimentConfig:
     inner_cap: int = 200
     out_dir: Optional[str] = None
     ref_factor: int = 10
-    gap_threshold: float = 1e-6
-    record_invariants: bool = False
     emit_wall_times: bool = False
 
     def __post_init__(self):
@@ -82,6 +92,8 @@ class ExperimentConfig:
             raise ValueError(f"iters must be nonnegative, got {self.iters}")
         if self.inner_cap < 1:
             raise ValueError(f"inner_cap must be >= 1, got {self.inner_cap}")
+        if min(self.m, self.n) < 2:
+            raise ValueError(f"m and n must be at least 2, got {self.m} x {self.n}")
         if self.family == "cp" and self.lam is None:
             raise ValueError("cp experiments need lam")
         if self.family == "dy" and (self.lam1 is None or self.lam2 is None):
@@ -91,6 +103,14 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown methods for family {self.family!r}: {unknown}; "
                              f"choose from {list(known)}")
+        self.step_params()  # validates sigma, kappa and gamma before any work
+
+    def step_params(self):
+        """The CpParams or DyParams that `run_method` hands to the methods."""
+        if self.family == "cp":
+            return CpParams.from_kappa(self.kappa, sigma=self.sigma)
+        return DyParams.from_beta(max(4.0 * self.lam2, 1e-12), sigma=self.sigma,
+                                  gamma=self.gamma)
 
     def pinned_params(self):
         if self.family == "cp":
@@ -173,21 +193,16 @@ def _coerce(key, val):
 def emit_trace(trace, path):
     """Write one CSV row per outer iteration with full-precision decimal floats."""
     path = Path(path)
-    ref = trace.reference_objective if trace.reference_objective is not None else 0.0
+    # the RunTrace lists behind TRACE_COLUMNS, in its order
+    columns = [[trace.method] * len(trace), trace.k, trace.objective_gap(), trace.lhs,
+               trace.rhs, trace.inner_iterations, trace.h_applications, trace.wall_ms,
+               trace.accept_tol, trace.seminorm_residual]
+    specs = [".17g" if cast is float else "" for cast in TRACE_COLUMNS.values()]
+    text = [[format(value, spec) for value in column] for column, spec in zip(columns, specs)]
     try:
         with open(path, "w", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
-            for i in range(len(trace)):
-                fh.write(",".join([
-                    trace.method,
-                    str(trace.k[i]),
-                    format(trace.objective[i] - ref, ".17g"),
-                    format(trace.lhs[i], ".17g"),
-                    format(trace.rhs[i], ".17g"),
-                    str(trace.inner_iterations[i]),
-                    str(trace.h_applications[i]),
-                    format(trace.wall_ms[i], ".17g"),
-                ]) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in zip(*text))
     except OSError as err:
         raise OSError(f"could not write trace to {path}: {err}") from err
     return path
@@ -197,41 +212,31 @@ def parse_trace_csv(path):
     """Read a trace CSV back into a dict of column lists."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != TRACE_HEADER:
-        raise ValueError(f"{path}: missing or unexpected header")
-    cols = {name: [] for name in TRACE_HEADER.split(",")}
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 8:
+        raise ValueError(f"{path}: not a trace CSV; its header must be {TRACE_HEADER!r}")
+    rows = [line.split(",") for line in lines[1:]]
+    for line, row in zip(lines[1:], rows):
+        if len(row) != len(TRACE_COLUMNS):
             raise ValueError(f"{path}: malformed row {line!r}")
-        cols["method"].append(parts[0])
-        cols["k"].append(int(parts[1]))
-        cols["objective_gap"].append(float(parts[2]))
-        cols["lhs"].append(float(parts[3]))
-        cols["rhs"].append(float(parts[4]))
-        cols["inner_iters"].append(int(parts[5]))
-        cols["h_apps"].append(int(parts[6]))
-        cols["wall_ms"].append(float(parts[7]))
+    cols = {}
+    for (name, cast), column in zip(TRACE_COLUMNS.items(),
+                                    list(zip(*rows)) or [()] * len(TRACE_COLUMNS)):
+        try:
+            cols[name] = list(map(cast, column))
+        except ValueError as err:
+            raise ValueError(f"{path}: column {name}: {err}") from None
     return cols
 
 
 def audit_trace_file(path, sigma, rtol=1e-9):
-    """Check the acceptance inequality and counter monotonicity of an emitted trace."""
+    """Re-check an emitted trace with `audit_invariants`, plus counter monotonicity."""
     cols = parse_trace_csv(path)
-    failures = []
-    for i, (lhs, rhs) in enumerate(zip(cols["lhs"], cols["rhs"])):
-        scale = max(rhs, 1.0)
-        if lhs > sigma * rhs + rtol * scale:
-            failures.append(f"row {i}: lhs={lhs:.12e} > sigma*rhs={sigma * rhs:.12e}")
-    for i in range(1, len(cols["h_apps"])):
-        if cols["h_apps"][i] < cols["h_apps"][i - 1]:
-            failures.append(f"row {i}: h_apps decreased")
-    return failures
-
-
-def _dy_pieces(cfg, inst):
-    beta = max(4.0 * cfg.lam2, 1e-12)
-    gamma = cfg.gamma if cfg.gamma is not None else 1.0 / beta
-    return beta, gamma, lambda x: _huber_forward(inst.D, cfg.lam2, cfg.delta, x)
+    trace = RunTrace(method=cols["method"][0] if cols["method"] else "", sigma=sigma)
+    trace.k, trace.lhs, trace.rhs = cols["k"], cols["lhs"], cols["rhs"]
+    trace.accept_tol, trace.seminorm_residual = cols["accept_tol"], cols["residual"]
+    failures = audit_invariants(trace, sigma, rtol=rtol).failures
+    h_apps = cols["h_apps"]
+    return failures + [f"row {i}: h_apps decreased" for i in range(1, len(h_apps))
+                       if h_apps[i] < h_apps[i - 1]]
 
 
 def run_method(name, cfg, inst, norms):
@@ -242,19 +247,16 @@ def run_method(name, cfg, inst, norms):
     objective = fresh.objective
     x0 = np.zeros(n)
     y0 = np.zeros(D.rows)
+    p = cfg.step_params()
 
     if name == "hpe-cp":
-        p = CpParams.from_kappa(cfg.kappa, sigma=cfg.sigma)
         oracle = LsqResolvent(H, f, p.tau, x0=x0)
         return inexact_cp_run(oracle, D, lambda v: clip(v, cfg.lam), p, x0, y0,
                               cfg.iters, inner_cap=cfg.inner_cap, objective=objective,
-                              norm_K=norms["D"],
-                              record_invariants=cfg.record_invariants, method=name)
+                              norm_K=norms["D"], method=name)
     if name == "implicit-cp":
-        p = CpParams.from_kappa(cfg.kappa, sigma=0.0)
         return implicit_cp_run(H, f, D, cfg.lam, p, x0, y0, cfg.iters,
-                               cg_tol=cfg.cg_tol, objective=objective,
-                               record_invariants=cfg.record_invariants, method=name)
+                               cg_tol=cfg.cg_tol, objective=objective, method=name)
     if name == "condat-vu":
         tau = 1.0 / norms["H"] ** 2
         theta = 0.9 * (1.0 / tau - norms["H"] ** 2 / 2.0) / norms["D"] ** 2
@@ -267,19 +269,15 @@ def run_method(name, cfg, inst, norms):
                                cfg.iters, norm_K=norm_K, objective=objective,
                                method=name)
     if name == "hpe-dy":
-        beta, gamma, b_apply = _dy_pieces(cfg, fresh)
-        p = DyParams(gamma=gamma, beta=beta, sigma=cfg.sigma)
-        oracle = LsqResolvent(H, f, gamma, x0=x0)
-        return inexact_dy_run(oracle, lambda v: soft_threshold(v, gamma * cfg.lam1),
-                              b_apply, p, x0, cfg.iters, inner_cap=cfg.inner_cap,
-                              objective=objective,
-                              record_invariants=cfg.record_invariants, method=name)
+        oracle = LsqResolvent(H, f, p.gamma, x0=x0)
+        return inexact_dy_run(oracle, lambda v: soft_threshold(v, p.gamma * cfg.lam1),
+                              lambda x: _huber_forward(D, cfg.lam2, cfg.delta, x),
+                              p, x0, cfg.iters, inner_cap=cfg.inner_cap,
+                              objective=objective, method=name)
     if name == "implicit-dy":
-        beta, gamma, _ = _dy_pieces(cfg, fresh)
         return implicit_dy_run(H, f, D, cfg.lam1, cfg.lam2, cfg.delta, x0, cfg.iters,
-                               gamma=gamma, beta=beta, cg_tol=cfg.cg_tol,
-                               objective=objective,
-                               record_invariants=cfg.record_invariants, method=name)
+                               gamma=p.gamma, beta=p.beta, cg_tol=cfg.cg_tol,
+                               objective=objective, method=name)
     if name == "fb":
         return fb_run(H, f, D, cfg.lam1, cfg.lam2, cfg.delta, x0, cfg.iters,
                       norm_H=norms["H"], objective=objective, method=name)
@@ -289,7 +287,9 @@ def run_method(name, cfg, inst, norms):
 def _reference_objective(cfg, inst, norms):
     """Longer run of the implicit baseline; its best value anchors the gaps."""
     ref_method = "implicit-cp" if cfg.family == "cp" else "implicit-dy"
-    ref_cfg = replace(cfg, iters=cfg.iters * cfg.ref_factor, record_invariants=False)
+    # always a new object, so a caller wrapping run_method can tell the reference
+    # run from the requested methods, which get cfg itself
+    ref_cfg = replace(cfg, iters=cfg.iters * cfg.ref_factor)
     result = run_method(ref_method, ref_cfg, inst, norms)
     if not len(result.trace):
         return ref_method, 0, inst.objective(np.zeros(inst.n))
@@ -373,7 +373,7 @@ def run_experiment(cfg):
             "final_gap": gaps[-1] if gaps else None,
             "total_h_apps": trace.h_applications[-1] if len(trace) else 0,
             "median_inner": float(np.median(trace.inner_iterations)) if len(trace) else None,
-            "h_apps_at_gap": _apps_at_gap(gaps, trace.h_applications, cfg.gap_threshold),
+            "h_apps_at_gap": _apps_at_gap(gaps, trace.h_applications),
         })
         if name.startswith("hpe"):
             report = audit_invariants(trace, cfg.sigma)
@@ -390,9 +390,9 @@ def run_experiment(cfg):
     return result
 
 
-def _apps_at_gap(gaps, h_apps, threshold):
+def _apps_at_gap(gaps, h_apps):
     for gap, apps in zip(gaps, h_apps):
-        if gap <= threshold:
+        if gap <= GAP_THRESHOLD:
             return apps
     return None
 
@@ -438,10 +438,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "audit":
-        if not Path(args.trace).exists():
-            print(f"error: no such trace {args.trace}", file=sys.stderr)
+        try:
+            failures = audit_trace_file(args.trace, args.sigma, rtol=args.rtol)
+        except (ValueError, OSError) as err:
+            print(f"error: {err}", file=sys.stderr)
             return 1
-        failures = audit_trace_file(args.trace, args.sigma, rtol=args.rtol)
         if failures:
             for line in failures[:20]:
                 print(line, file=sys.stderr)

@@ -255,7 +255,7 @@ def audit_invariants(trace, sigma, u_star_seminorms=None, rtol=1e-9, step_floor=
     steps = np.asarray(trace.rhs, dtype=float)
     resid = np.asarray(trace.seminorm_residual, dtype=float)
     lhs = np.asarray(trace.lhs, dtype=float)
-    accept_tol = np.asarray(trace.accept_tol, dtype=float) if trace.accept_tol else np.zeros(n)
+    accept_tol = np.asarray(trace.accept_tol, dtype=float)
 
     for k in range(n):
         scale = max(steps[k], resid[k], 1e-300)

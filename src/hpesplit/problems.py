@@ -4,13 +4,10 @@ Both experiment families reconstruct a piecewise-constant signal from data
 f = H x_true + noise through an ill-conditioned H = U diag(s) V^T whose
 singular values follow a prescribed decay ("cosine" or "power5", both ending
 in an exact zero).  Generation is deterministic per seed (PCG64 via
-numpy.random.default_rng), and instances serialize to a directory of raw
-little-endian float64 arrays plus a JSON manifest for exact replay.
+numpy.random.default_rng).
 """
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -150,34 +147,6 @@ class ProblemInstance:
         return ProblemInstance(self.H.fresh(), self.D.fresh(), self.f, self.x_true,
                                dict(self.params), self.seed, self.spectrum_kind,
                                self.jumps, self.sparsity, self.noise_std)
-
-    def save(self, directory):
-        """Write raw little-endian float64 arrays plus a manifest for exact replay."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for name, arr in (("H", self.H.as_matrix()), ("f", self.f), ("x_true", self.x_true)):
-            np.ascontiguousarray(arr, dtype="<f8").tofile(directory / f"{name}.bin")
-        manifest = {
-            "m": self.m, "n": self.n, "seed": self.seed,
-            "spectrum_kind": self.spectrum_kind, "params": self.params,
-            "jumps": self.jumps, "sparsity": self.sparsity, "noise_std": self.noise_std,
-            "dtype": "<f8",
-        }
-        with open(directory / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(cls, directory):
-        directory = Path(directory)
-        with open(directory / "manifest.json") as fh:
-            manifest = json.load(fh)
-        m, n = manifest["m"], manifest["n"]
-        Hm = np.fromfile(directory / "H.bin", dtype="<f8").reshape(m, n)
-        f = np.fromfile(directory / "f.bin", dtype="<f8")
-        x_true = np.fromfile(directory / "x_true.bin", dtype="<f8")
-        return cls(LinearMap(Hm), gen_diff_matrix(n), f, x_true, manifest["params"],
-                   manifest["seed"], manifest["spectrum_kind"], manifest["jumps"],
-                   manifest["sparsity"], manifest["noise_std"])
 
 
 def make_cp_instance(m, n, seed, lam, kind="cosine", jumps=10, sparsity=0.5,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,9 @@ from hpesplit.cli import (
 )
 from hpesplit.hpe import RunTrace
 
+ROOT = Path(__file__).resolve().parents[1]
+HEADER = "method,k,objective_gap,lhs,rhs,inner_iters,h_apps,wall_ms,accept_tol,residual"
+
 
 def small_config(**overrides):
     base = dict(experiment="custom", family="cp", m=24, n=24, seed=3, lam=0.5,
@@ -33,7 +39,8 @@ class TestEmitTrace:
         for k in range(3):
             h += int(rng.integers(1, 9))
             trace.append(k, float(rng.standard_normal()), 0.25 * k, 0.5 * k + 0.1,
-                         k, h, 0.1 * k, wall_ms=0.0)
+                         k, h, 0.1 * k + 1.0 / 3.0, wall_ms=0.5 * k,
+                         accept_tol=1e-14 * (1.0 + k / 7.0))
         trace.reference_objective = -2.0
         return trace
 
@@ -49,12 +56,15 @@ class TestEmitTrace:
             assert cols["rhs"][i] == trace.rhs[i]
             assert cols["inner_iters"][i] == trace.inner_iterations[i]
             assert cols["h_apps"][i] == trace.h_applications[i]
+            assert cols["wall_ms"][i] == trace.wall_ms[i]
+            assert cols["accept_tol"][i] == trace.accept_tol[i]
+            assert cols["residual"][i] == trace.seminorm_residual[i]
 
     def test_header_written_for_empty_trace(self, tmp_path):
         trace = RunTrace(method="empty")
         path = emit_trace(trace, tmp_path / "empty.csv")
         text = Path(path).read_text()
-        assert text.splitlines() == ["method,k,objective_gap,lhs,rhs,inner_iters,h_apps,wall_ms"]
+        assert text.splitlines() == [HEADER]
 
     def test_unwritable_path_raises_with_context(self, tmp_path):
         trace = self.make_trace()
@@ -261,11 +271,41 @@ class TestTraceAudit:
 
     def test_detects_violation(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("method,k,objective_gap,lhs,rhs,inner_iters,h_apps,wall_ms\n"
-                        "x,0,1.0,5.0,1.0,1,10,0\n"
-                        "x,1,1.0,0.0,1.0,1,5,0\n")
+        path.write_text(HEADER + "\n"
+                        "x,0,1.0,5.0,1.0,1,10,0,0,1.0\n"
+                        "x,1,1.0,0.0,1.0,1,5,0,0,1.0\n")
         failures = audit_trace_file(path, sigma=0.5)
-        assert len(failures) == 2
+        assert any(f.startswith("k=0: acceptance violated") for f in failures), failures
+        assert "row 1: h_apps decreased" in failures
+
+    def test_exact_rule_without_slack(self, tmp_path, capsys):
+        # the runner accepts lhs <= sigma*rhs + accept_tol; a small step leaves
+        # rtol * max(rhs, residual) as the only rounding allowance, far below
+        # the former flat rtol * max(rhs, 1)
+        sigma, rhs = 0.5, 1e-3
+        lhs = sigma * rhs + 5e-10
+        assert lhs <= sigma * rhs + 1e-9 * max(rhs, 1.0)
+        path = tmp_path / "slack.csv"
+        path.write_text(HEADER + f"\nx,0,1.0,{lhs!r},{rhs!r},1,10,0,0,{rhs!r}\n")
+        failures = audit_trace_file(path, sigma)
+        assert len(failures) == 1 and failures[0].startswith("k=0: acceptance violated")
+
+        path.write_text(HEADER + f"\nx,0,1.0,0.0,{rhs!r},1,10,0,0,{3 * rhs!r}\n")
+        assert main(["audit", str(path), "--sigma", str(sigma)]) == 2
+        assert "k=0: two-sided estimate violated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "method,k,objective_gap,lhs,rhs,inner_iters,h_apps,wall_ms\n"
+        "hpe-cp,0,1.0,0.25,0.5,1,10,0\n",
+        HEADER + "\nhpe-cp,0,1.0,0.25,0.5,1,10,0,0\n",
+        HEADER + "\nhpe-cp,zero,1.0,0.25,0.5,1,10,0,0,0.5\n",
+    ], ids=["eight-column", "short-row", "bad-number"])
+    def test_unreadable_trace_is_one_line_error(self, tmp_path, capsys, text):
+        path = tmp_path / "old.csv"
+        path.write_text(text)
+        assert main(["audit", str(path), "--sigma", "0.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestMainCli:
@@ -297,6 +337,31 @@ class TestMainCli:
         assert code == 0
         assert "hpe-cp: final gap none" in capsys.readouterr().out
         assert (tmp_path / "cp1-run2" / "summary.json").exists()
+
+    @pytest.mark.parametrize("name, flag, value, message", [
+        ("cp1-run2", "--sigma", "1.5", "sigma must be in [0, 1)"),
+        ("cp1-run2", "--kappa", "0", "kappa must be positive"),
+        ("dy-run1", "--gamma", "100", "gamma must lie in (0, 2/beta)"),
+        ("cp1-run2", "--m", "1", "m and n must be at least 2"),
+    ], ids=["sigma", "kappa", "gamma", "m"])
+    def test_bad_parameter_fails_before_any_work(self, tmp_path, capsys, name, flag,
+                                                 value, message):
+        code = main(["run", name, "--m", "20", "--n", "20", "--iters", "5",
+                     flag, value, "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+        assert not (tmp_path / name).exists()
+
+    def test_module_entry_point_runs_without_warning(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "hpesplit.cli", "audit",
+                               str(tmp_path / "missing.csv"), "--sigma", "0.5"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
 
     def test_unknown_experiment_exit_code(self, capsys):
         assert main(["run", "not-an-experiment"]) == 1
@@ -335,3 +400,12 @@ class TestMainCli:
                      "--seed", "1"])
         assert code == 0
         assert (tmp_path / "envout" / "cp1-run2" / "implicit-cp.csv").exists()
+
+
+class TestBenchmarkContract:
+    def test_benchmark_selftest_passes(self):
+        # the benchmark reads parse_trace_csv's keys, audit_trace_file(path, sigma)
+        # and the names its tracer wraps; its self-test trips if any of them changes
+        proc = subprocess.run([sys.executable, str(ROOT / "benchmarks" / "selftest.py")],
+                              cwd=ROOT, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]

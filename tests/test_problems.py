@@ -3,7 +3,6 @@ import pytest
 
 from hpesplit.linalg import estimate_spectral_norm
 from hpesplit.problems import (
-    ProblemInstance,
     gen_diff_matrix,
     gen_illcond_matrix,
     gen_signal_and_data,
@@ -188,25 +187,7 @@ class TestObjectives:
             assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(grad[i]))
 
 
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        inst = make_cp_instance(15, 18, seed=5, lam=1.0)
-        inst.save(tmp_path / "inst")
-        loaded = ProblemInstance.load(tmp_path / "inst")
-        np.testing.assert_array_equal(loaded.H.as_matrix(), inst.H.as_matrix())
-        np.testing.assert_array_equal(loaded.f, inst.f)
-        np.testing.assert_array_equal(loaded.x_true, inst.x_true)
-        assert loaded.params == inst.params
-        assert loaded.seed == inst.seed
-        np.testing.assert_array_equal(loaded.D.as_matrix(), inst.D.as_matrix())
-
-    def test_identical_seeds_identical_bytes(self, tmp_path):
-        for sub in ("a", "b"):
-            make_dy_instance(10, 12, seed=6, lam1=0.1, lam2=0.2, delta=0.05) \
-                .save(tmp_path / sub)
-        for name in ("H.bin", "f.bin", "x_true.bin", "manifest.json"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
+class TestProblemInstance:
     def test_fresh_zeroes_counters(self):
         inst = make_cp_instance(8, 8, seed=7, lam=0.5)
         inst.H.apply(np.zeros(8))
