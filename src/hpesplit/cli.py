@@ -3,13 +3,14 @@
 `run_experiment` generates a seeded instance, computes a reference objective
 from a longer run of the implicit baseline, runs every requested method on
 fresh operator counters, writes one CSV per method plus a JSON summary and
-manifest, and audits the certified methods' traces.
+the manifest (the config itself), and audits the certified methods' traces.
 
 Trace CSVs are deterministic for a fixed seed: the wall-time column is written
 as zero unless wall times are explicitly requested (they land in the summary
 either way, which is not part of the reproducibility contract). They carry
-every number a runner used to accept a step, so `audit_trace_file` re-checks
-an emitted CSV with the same `audit_invariants` that audits the run in memory.
+every number a runner used to accept a step, sigma included, so
+`audit_trace_file` re-checks an emitted CSV at the sigma it was certified at,
+with the same `audit_invariants` that audits the run in memory.
 """
 
 import argparse
@@ -38,23 +39,29 @@ from .methods import (
     inexact_dy_run,
 )
 from .operators import LsqResolvent, clip, soft_threshold
-from .problems import make_cp_instance, make_dy_instance
+from .problems import SPECTRUM_KINDS, make_cp_instance, make_dy_instance
 
 OUT_ENV_VAR = "HPESPLIT_OUT"
 # The trace CSV format, column name -> type; the header, `emit_trace` and
-# `parse_trace_csv` all follow this table. accept_tol and residual (||v||_M)
-# come last so that lhs and rhs keep their positions.
+# `parse_trace_csv` all follow this table. accept_tol, residual (||v||_M) and
+# sigma come last so that lhs and rhs keep their positions; with them a row
+# carries every number of the acceptance test lhs <= sigma * rhs + accept_tol.
 TRACE_COLUMNS = {
     "method": str, "k": int, "objective_gap": float, "lhs": float, "rhs": float,
     "inner_iters": int, "h_apps": int, "wall_ms": float, "accept_tol": float,
-    "residual": float,
+    "residual": float, "sigma": float,
 }
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
 # the summary's h_apps_at_gap counts H applications until the gap reaches this
 GAP_THRESHOLD = 1e-6
+# Huber width of the DY family's smoothed total-variation term
+HUBER_DELTA = 0.01
 
 CP_METHODS = ("hpe-cp", "implicit-cp", "condat-vu", "explicit-cp")
 DY_METHODS = ("hpe-dy", "implicit-dy", "fb")
+# the keys each family reads; every one is required except DY's gamma, which
+# DyParams.from_beta picks when it is not given
+FAMILY_KEYS = {"cp": ("lam", "kappa"), "dy": ("lam1", "lam2", "gamma")}
 
 
 @dataclass
@@ -70,39 +77,43 @@ class ExperimentConfig:
     methods: tuple = CP_METHODS
     iters: int = 2000
     sigma: float = 0.95
-    kappa: float = 0.5
+    kappa: Optional[float] = None
     gamma: Optional[float] = None
-    cg_tol: float = 1e-8
     lam: Optional[float] = None
     lam1: Optional[float] = None
     lam2: Optional[float] = None
-    delta: float = 0.01
-    jumps: int = 10
-    sparsity: float = 0.5
-    noise_std: Optional[float] = None
     inner_cap: int = 200
     out_dir: Optional[str] = None
     ref_factor: int = 10
     emit_wall_times: bool = False
 
     def __post_init__(self):
-        if self.family not in ("cp", "dy"):
+        if self.family not in FAMILY_KEYS:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.iters < 0:
-            raise ValueError(f"iters must be nonnegative, got {self.iters}")
-        if self.inner_cap < 1:
-            raise ValueError(f"inner_cap must be >= 1, got {self.inner_cap}")
-        if min(self.m, self.n) < 2:
-            raise ValueError(f"m and n must be at least 2, got {self.m} x {self.n}")
-        if self.family == "cp" and self.lam is None:
-            raise ValueError("cp experiments need lam")
-        if self.family == "dy" and (self.lam1 is None or self.lam2 is None):
-            raise ValueError("dy experiments need lam1 and lam2")
+        self.methods = tuple(self.methods)
         known = CP_METHODS if self.family == "cp" else DY_METHODS
         unknown = [m for m in self.methods if m not in known]
         if unknown:
             raise ValueError(f"unknown methods for family {self.family!r}: {unknown}; "
                              f"choose from {list(known)}")
+        for name in ("seed", "iters", "ref_factor", "lam", "lam1", "lam2"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+        if self.inner_cap < 1:
+            raise ValueError(f"inner_cap must be >= 1, got {self.inner_cap}")
+        if min(self.m, self.n) < 2:
+            raise ValueError(f"m and n must be at least 2, got {self.m} x {self.n}")
+        if self.spectrum_kind not in SPECTRUM_KINDS:
+            raise ValueError(f"unknown spectrum kind {self.spectrum_kind!r}, "
+                             f"expected one of {SPECTRUM_KINDS}")
+        for family, keys in FAMILY_KEYS.items():
+            for key in keys:
+                value = getattr(self, key)
+                if family != self.family and value is not None:
+                    raise ValueError(f"{self.family} experiments take no {key}")
+                if family == self.family and value is None and key != "gamma":
+                    raise ValueError(f"{self.family} experiments need {key}")
         self.step_params()  # validates sigma, kappa and gamma before any work
 
     def step_params(self):
@@ -112,21 +123,11 @@ class ExperimentConfig:
         return DyParams.from_beta(max(4.0 * self.lam2, 1e-12), sigma=self.sigma,
                                   gamma=self.gamma)
 
-    def pinned_params(self):
-        if self.family == "cp":
-            return {"lam": self.lam, "sigma": self.sigma, "kappa": self.kappa}
-        return {"lam1": self.lam1, "lam2": self.lam2, "sigma": self.sigma}
-
     def manifest(self):
-        return {
-            "experiment": self.experiment, "family": self.family,
-            "m": self.m, "n": self.n, "seed": self.seed,
-            "spectrum_kind": self.spectrum_kind, "methods": list(self.methods),
-            "iters": self.iters, "cg_tol": self.cg_tol, "params": self.pinned_params(),
-            "delta": self.delta if self.family == "dy" else None,
-            "jumps": self.jumps, "sparsity": self.sparsity,
-            "inner_cap": self.inner_cap,
-        }
+        """Every field but the output place and the wall-time switch;
+        ``ExperimentConfig(**manifest)`` rebuilds the run's config."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("out_dir", "emit_wall_times")}
 
 
 # Pinned benchmark setups at desk scale; the full-scale variants use
@@ -134,17 +135,17 @@ class ExperimentConfig:
 # accept but the harness does not run by default.
 NAMED_EXPERIMENTS = {
     "cp1-run1": dict(family="cp", lam=20.0, sigma=0.01, kappa=0.5, m=200, n=200,
-                     spectrum_kind="cosine", methods=CP_METHODS, sparsity=0.5),
+                     spectrum_kind="cosine", methods=CP_METHODS),
     "cp1-run2": dict(family="cp", lam=1.0, sigma=0.95, kappa=0.1, m=200, n=200,
-                     spectrum_kind="cosine", methods=CP_METHODS, sparsity=0.5),
+                     spectrum_kind="cosine", methods=CP_METHODS),
     "cp2": dict(family="cp", lam=0.1, sigma=0.99, kappa=0.5, m=100, n=400,
-                spectrum_kind="power5", methods=CP_METHODS, sparsity=0.5),
+                spectrum_kind="power5", methods=CP_METHODS),
     "dy-run1": dict(family="dy", lam1=0.001, lam2=0.1, sigma=0.99, m=200, n=200,
-                    spectrum_kind="cosine", methods=DY_METHODS, sparsity=0.0),
+                    spectrum_kind="cosine", methods=DY_METHODS),
     "dy-run2": dict(family="dy", lam1=0.0001, lam2=0.1, sigma=0.99, m=200, n=200,
-                    spectrum_kind="cosine", methods=DY_METHODS, sparsity=0.0),
+                    spectrum_kind="cosine", methods=DY_METHODS),
     "dy-run3": dict(family="dy", lam1=0.0001, lam2=0.01, sigma=0.99, m=200, n=200,
-                    spectrum_kind="cosine", methods=DY_METHODS, sparsity=0.0),
+                    spectrum_kind="cosine", methods=DY_METHODS),
 }
 
 
@@ -196,7 +197,7 @@ def emit_trace(trace, path):
     # the RunTrace lists behind TRACE_COLUMNS, in its order
     columns = [[trace.method] * len(trace), trace.k, trace.objective_gap(), trace.lhs,
                trace.rhs, trace.inner_iterations, trace.h_applications, trace.wall_ms,
-               trace.accept_tol, trace.seminorm_residual]
+               trace.accept_tol, trace.seminorm_residual, [trace.sigma or 0.0] * len(trace)]
     specs = [".17g" if cast is float else "" for cast in TRACE_COLUMNS.values()]
     text = [[format(value, spec) for value in column] for column, spec in zip(columns, specs)]
     try:
@@ -227,13 +228,24 @@ def parse_trace_csv(path):
     return cols
 
 
-def audit_trace_file(path, sigma, rtol=1e-9):
-    """Re-check an emitted trace with `audit_invariants`, plus counter monotonicity."""
+def audit_trace_file(path, sigma=None, rtol=1e-9):
+    """Re-check an emitted trace with `audit_invariants`, plus counter monotonicity.
+
+    The audit runs at the sigma the trace records. A given ``sigma`` is only
+    compared with it: a different value is reported as a failure.
+    """
     cols = parse_trace_csv(path)
-    trace = RunTrace(method=cols["method"][0] if cols["method"] else "", sigma=sigma)
+    sigmas = cols["sigma"]
+    recorded = sigmas[0] if sigmas else 0.0
+    failures = [f"row {i}: sigma {s!r} differs from row 0's {recorded!r}"
+                for i, s in enumerate(sigmas) if s != recorded]
+    if sigmas and sigma is not None and sigma != recorded:
+        failures.append(f"sigma {sigma!r} was given, but the trace was certified "
+                        f"at sigma {recorded!r}")
+    trace = RunTrace(method=cols["method"][0] if cols["method"] else "", sigma=recorded)
     trace.k, trace.lhs, trace.rhs = cols["k"], cols["lhs"], cols["rhs"]
     trace.accept_tol, trace.seminorm_residual = cols["accept_tol"], cols["residual"]
-    failures = audit_invariants(trace, sigma, rtol=rtol).failures
+    failures += audit_invariants(trace, recorded, rtol=rtol).failures
     h_apps = cols["h_apps"]
     return failures + [f"row {i}: h_apps decreased" for i in range(1, len(h_apps))
                        if h_apps[i] < h_apps[i - 1]]
@@ -256,7 +268,7 @@ def run_method(name, cfg, inst, norms):
                               norm_K=norms["D"], method=name)
     if name == "implicit-cp":
         return implicit_cp_run(H, f, D, cfg.lam, p, x0, y0, cfg.iters,
-                               cg_tol=cfg.cg_tol, objective=objective, method=name)
+                               objective=objective, method=name)
     if name == "condat-vu":
         tau = 1.0 / norms["H"] ** 2
         theta = 0.9 * (1.0 / tau - norms["H"] ** 2 / 2.0) / norms["D"] ** 2
@@ -265,21 +277,21 @@ def run_method(name, cfg, inst, norms):
                              objective=objective, method=name)
     if name == "explicit-cp":
         norm_K = float(np.sqrt(norms["H"] ** 2 + norms["D"] ** 2))
-        return explicit_cp_run(H, f, D, cfg.lam, cfg.kappa, x0, np.zeros(fresh.m), y0,
+        return explicit_cp_run(H, f, D, cfg.lam, p.kappa, x0, np.zeros(fresh.m), y0,
                                cfg.iters, norm_K=norm_K, objective=objective,
                                method=name)
     if name == "hpe-dy":
         oracle = LsqResolvent(H, f, p.gamma, x0=x0)
         return inexact_dy_run(oracle, lambda v: soft_threshold(v, p.gamma * cfg.lam1),
-                              lambda x: _huber_forward(D, cfg.lam2, cfg.delta, x),
+                              lambda x: _huber_forward(D, cfg.lam2, HUBER_DELTA, x),
                               p, x0, cfg.iters, inner_cap=cfg.inner_cap,
                               objective=objective, method=name)
     if name == "implicit-dy":
-        return implicit_dy_run(H, f, D, cfg.lam1, cfg.lam2, cfg.delta, x0, cfg.iters,
-                               gamma=p.gamma, beta=p.beta, cg_tol=cfg.cg_tol,
-                               objective=objective, method=name)
+        return implicit_dy_run(H, f, D, cfg.lam1, cfg.lam2, HUBER_DELTA, x0, cfg.iters,
+                               gamma=p.gamma, beta=p.beta, objective=objective,
+                               method=name)
     if name == "fb":
-        return fb_run(H, f, D, cfg.lam1, cfg.lam2, cfg.delta, x0, cfg.iters,
+        return fb_run(H, f, D, cfg.lam1, cfg.lam2, HUBER_DELTA, x0, cfg.iters,
                       norm_H=norms["H"], objective=objective, method=name)
     raise ValueError(f"unknown method {name!r}")
 
@@ -320,13 +332,10 @@ def run_experiment(cfg):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if cfg.family == "cp":
-        inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind,
-                                jumps=cfg.jumps, sparsity=cfg.sparsity,
-                                noise_std=cfg.noise_std)
+        inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
     else:
-        inst = make_dy_instance(cfg.m, cfg.n, cfg.seed, cfg.lam1, cfg.lam2, cfg.delta,
-                                kind=cfg.spectrum_kind, jumps=cfg.jumps,
-                                sparsity=cfg.sparsity, noise_std=cfg.noise_std)
+        inst = make_dy_instance(cfg.m, cfg.n, cfg.seed, cfg.lam1, cfg.lam2, HUBER_DELTA,
+                                kind=cfg.spectrum_kind)
     norms = {"H": estimate_spectral_norm(inst.H), "D": estimate_spectral_norm(inst.D)}
 
     ref_method, ref_iters, ref_obj = _reference_objective(cfg, inst, norms)
@@ -398,11 +407,10 @@ def _apps_at_gap(gaps, h_apps):
 
 
 class _Parser(argparse.ArgumentParser):
-    # exit code 1 (not argparse's default 2) for bad arguments; 2 means
-    # certification failure here
+    # bad arguments are one line and exit code 1 (not argparse's usage and
+    # code 2), like every other bad input; 2 means certification failure here
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {message} (see {self.prog} -h)", file=sys.stderr)
         raise SystemExit(1)
 
 
@@ -421,14 +429,12 @@ def build_parser():
     run.add_argument("--sigma", type=float)
     run.add_argument("--kappa", type=float)
     run.add_argument("--gamma", type=float)
-    run.add_argument("--cg-tol", type=float, dest="cg_tol")
     run.add_argument("--out", dest="out_dir")
     run.add_argument("--wall-times", action="store_true", dest="emit_wall_times",
                      help="emit measured per-row wall times (breaks bit-reproducibility)")
 
-    audit = sub.add_parser("audit", help="audit an emitted trace CSV")
+    audit = sub.add_parser("audit", help="audit an emitted trace CSV at the sigma it records")
     audit.add_argument("trace", help="path to a trace CSV")
-    audit.add_argument("--sigma", type=float, required=True)
     audit.add_argument("--rtol", type=float, default=1e-9)
     return parser
 
@@ -439,7 +445,7 @@ def main(argv=None):
 
     if args.command == "audit":
         try:
-            failures = audit_trace_file(args.trace, args.sigma, rtol=args.rtol)
+            failures = audit_trace_file(args.trace, rtol=args.rtol)
         except (ValueError, OSError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
@@ -452,8 +458,7 @@ def main(argv=None):
         return 0
 
     overrides = {k: getattr(args, k) for k in
-                 ("m", "n", "seed", "iters", "sigma", "kappa", "gamma", "cg_tol",
-                  "out_dir")}
+                 ("m", "n", "seed", "iters", "sigma", "kappa", "gamma", "out_dir")}
     try:
         if args.experiment in NAMED_EXPERIMENTS:
             cfg = named_config(args.experiment, **overrides)

@@ -232,21 +232,15 @@ class AuditReport:
     def ok(self):
         return not self.failures
 
-    def raise_if_failed(self):
-        if self.failures:
-            raise RuntimeError(f"invariant audit failed for {self.method}:\n"
-                               + "\n".join(self.failures))
 
-
-def audit_invariants(trace, sigma, u_star_seminorms=None, rtol=1e-9, step_floor=None):
+def audit_invariants(trace, sigma, u_star_seminorms=None, rtol=1e-9):
     """Check the fundamental estimates of the extragradient loop on a trace.
 
     Per accepted iteration: the acceptance inequality itself, the two-sided
     bound (1 - sigma) * step <= ||v||_M <= (1 + sigma) * step, and - when
     ``u_star_seminorms`` supplies d_k = ||u^k - u*||_M for k = 0..K - the
     quasi-Fejer inequality d_{k+1}^2 + (1 - sigma^2) step_k^2 <= d_k^2 and its
-    summed form.  ``step_floor``, when given, requires the final step seminorm
-    to sit below it. Tolerances scale with the run (rtol relative).
+    summed form.  Tolerances scale with the run (rtol relative).
     """
     n = len(trace)
     failures = []
@@ -289,8 +283,6 @@ def audit_invariants(trace, sigma, u_star_seminorms=None, rtol=1e-9, step_floor=
     if n >= 2 and steps[0] > 0 and steps[-1] >= steps[0]:
         failures.append(f"step seminorm did not decrease: first={steps[0]:.6e}, "
                         f"last={steps[-1]:.6e}")
-    if step_floor is not None and n >= 1 and steps[-1] > step_floor:
-        failures.append(f"final step seminorm {steps[-1]:.6e} above floor {step_floor:.6e}")
 
     return AuditReport(method=trace.method, iterations=n, fejer_checked=fejer,
                        failures=failures)

@@ -57,16 +57,11 @@ class CpParams:
 
 @dataclass
 class DyParams:
-    """Stepsize gamma in (0, 2/beta) for a 1/beta-cocoercive forward term.
-
-    ``alpha`` is the induced averaging weight gamma*beta / (4 - gamma*beta);
-    it is derived, not chosen.
-    """
+    """Stepsize gamma in (0, 2/beta) for a 1/beta-cocoercive forward term."""
 
     gamma: float
     beta: float
     sigma: float = 0.0
-    alpha: Optional[float] = None
 
     def __post_init__(self):
         if self.beta < 0:
@@ -78,12 +73,11 @@ class DyParams:
                              f"got {self.gamma}")
         if not 0 <= self.sigma < 1:
             raise ValueError(f"sigma must be in [0, 1), got {self.sigma}")
-        derived = self.gamma * self.beta / (4.0 - self.gamma * self.beta)
-        if self.alpha is None:
-            self.alpha = derived
-        elif abs(self.alpha - derived) > 1e-9 * max(1.0, derived):
-            raise ValueError(f"alpha = {self.alpha} inconsistent with "
-                             f"gamma*beta/(4-gamma*beta) = {derived}")
+
+    @property
+    def alpha(self):
+        """The induced averaging weight gamma*beta / (4 - gamma*beta)."""
+        return self.gamma * self.beta / (4.0 - self.gamma * self.beta)
 
     @classmethod
     def from_beta(cls, beta, sigma=0.0, gamma=None):

@@ -7,7 +7,7 @@ in an exact zero).  Generation is deterministic per seed (PCG64 via
 numpy.random.default_rng).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,18 +115,13 @@ def objective_dy(H, f, D, lam1, lam2, delta, x):
 
 @dataclass
 class ProblemInstance:
-    """One generated benchmark instance: operators, data, truth, and provenance."""
+    """One generated benchmark instance: operators, data, truth and objective weights."""
 
     H: LinearMap
     D: LinearMap
     f: np.ndarray
     x_true: np.ndarray
     params: dict
-    seed: int
-    spectrum_kind: str
-    jumps: int = 10
-    sparsity: float = 0.5
-    noise_std: float = 0.0
 
     @property
     def m(self):
@@ -144,27 +139,23 @@ class ProblemInstance:
 
     def fresh(self):
         """Same instance with zeroed operator counters (one per method run)."""
-        return ProblemInstance(self.H.fresh(), self.D.fresh(), self.f, self.x_true,
-                               dict(self.params), self.seed, self.spectrum_kind,
-                               self.jumps, self.sparsity, self.noise_std)
+        return replace(self, H=self.H.fresh(), D=self.D.fresh())
 
 
 def make_cp_instance(m, n, seed, lam, kind="cosine", jumps=10, sparsity=0.5,
                      noise_std=None):
     """Instance of the data-fit plus total-variation family."""
     H = gen_illcond_matrix(m, n, kind=kind, seed=seed)
-    x_true, f, used_std = gen_signal_and_data(H, seed + 1, jumps=jumps,
-                                              sparsity=sparsity, noise_std=noise_std)
-    return ProblemInstance(H, gen_diff_matrix(n), f, x_true, {"lam": lam}, seed, kind,
-                           jumps, sparsity, used_std)
+    x_true, f, _ = gen_signal_and_data(H, seed + 1, jumps=jumps, sparsity=sparsity,
+                                       noise_std=noise_std)
+    return ProblemInstance(H, gen_diff_matrix(n), f, x_true, {"lam": lam})
 
 
 def make_dy_instance(m, n, seed, lam1, lam2, delta, kind="cosine", jumps=10,
                      sparsity=0.0, noise_std=None):
     """Instance of the sparse plus smoothed-total-variation family."""
     H = gen_illcond_matrix(m, n, kind=kind, seed=seed)
-    x_true, f, used_std = gen_signal_and_data(H, seed + 1, jumps=jumps,
-                                              sparsity=sparsity, noise_std=noise_std)
+    x_true, f, _ = gen_signal_and_data(H, seed + 1, jumps=jumps, sparsity=sparsity,
+                                       noise_std=noise_std)
     return ProblemInstance(H, gen_diff_matrix(n), f, x_true,
-                           {"lam1": lam1, "lam2": lam2, "delta": delta}, seed, kind,
-                           jumps, sparsity, used_std)
+                           {"lam1": lam1, "lam2": lam2, "delta": delta})

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +22,13 @@ from hpesplit.cli import (
 from hpesplit.hpe import RunTrace
 
 ROOT = Path(__file__).resolve().parents[1]
-HEADER = "method,k,objective_gap,lhs,rhs,inner_iters,h_apps,wall_ms,accept_tol,residual"
+HEADER = ("method,k,objective_gap,lhs,rhs,inner_iters,h_apps,wall_ms,accept_tol,residual,"
+          "sigma")
 
 
 def small_config(**overrides):
     base = dict(experiment="custom", family="cp", m=24, n=24, seed=3, lam=0.5,
-                sigma=0.5, kappa=0.5, iters=30, jumps=4, ref_factor=3)
+                sigma=0.5, kappa=0.5, iters=30, ref_factor=3)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -59,6 +61,10 @@ class TestEmitTrace:
             assert cols["wall_ms"][i] == trace.wall_ms[i]
             assert cols["accept_tol"][i] == trace.accept_tol[i]
             assert cols["residual"][i] == trace.seminorm_residual[i]
+        assert cols["sigma"] == [0.5] * 3
+        # a baseline's trace has no sigma; its column is 0, like accept_tol
+        trace.sigma = None
+        assert parse_trace_csv(emit_trace(trace, tmp_path / "base.csv"))["sigma"] == [0.0] * 3
 
     def test_header_written_for_empty_trace(self, tmp_path):
         trace = RunTrace(method="empty")
@@ -85,21 +91,32 @@ class TestNamedExperiments:
         }
         for name, params in expected.items():
             cfg = named_config(name)
-            pinned = cfg.pinned_params()
             for key, val in params.items():
-                assert pinned[key] == val, f"{name}.{key}"
+                assert getattr(cfg, key) == val, f"{name}.{key}"
 
     def test_emitted_manifest_pins_parameters(self, tmp_path):
         cfg = named_config("cp1-run2", m=24, n=24, iters=5)
-        from dataclasses import replace
         result = run_experiment(replace(cfg, ref_factor=1, out_dir=str(tmp_path)))
         manifest = json.loads((result.out_dir / "manifest.json").read_text())
-        assert manifest["params"] == {"lam": 1.0, "sigma": 0.95, "kappa": 0.1}
+        assert (manifest["lam"], manifest["sigma"], manifest["kappa"]) == (1.0, 0.95, 0.1)
         assert manifest["spectrum_kind"] == "cosine"
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("cp1-run2", {}),
+        ("dy-run1", {"gamma": 2.0, "inner_cap": 50}),
+    ], ids=["cp", "dy"])
+    def test_manifest_rebuilds_config(self, tmp_path, name, overrides):
+        cfg = named_config(name, m=24, n=24, iters=5, seed=4, **overrides)
+        cfg = replace(cfg, ref_factor=1, out_dir=str(tmp_path), emit_wall_times=True)
+        result = run_experiment(cfg)
+        manifest = json.loads((result.out_dir / "manifest.json").read_text())
+        assert ExperimentConfig(**manifest) == replace(cfg, out_dir=None,
+                                                       emit_wall_times=False)
+        summary = json.loads((result.out_dir / "summary.json").read_text())
+        assert summary["manifest"] == manifest
 
     @pytest.mark.parametrize("name", sorted(NAMED_EXPERIMENTS))
     def test_named_experiments_run_end_to_end(self, name, tmp_path):
-        from dataclasses import replace
         cfg = named_config(name, m=24, n=96 if name == "cp2" else 24, iters=8, seed=2)
         result = run_experiment(replace(cfg, ref_factor=1, out_dir=str(tmp_path)))
         for method in cfg.methods:
@@ -132,6 +149,7 @@ class TestConfigFile:
             "m = 30\n"
             "n = 30\n"
             "lam = 0.25\n"
+            "kappa = 0.5\n"
             "sigma = 0.5\n"
             "iters = 12\n"
             "methods = hpe-cp, implicit-cp\n"
@@ -235,8 +253,7 @@ class TestRunExperiment:
 
     def test_dy_family(self, tmp_path):
         cfg = ExperimentConfig(experiment="custom", family="dy", m=20, n=20, seed=1,
-                               lam1=0.01, lam2=0.1, delta=0.05, sigma=0.8,
-                               iters=25, sparsity=0.0, ref_factor=3,
+                               lam1=0.01, lam2=0.1, sigma=0.8, iters=25, ref_factor=3,
                                methods=("hpe-dy", "implicit-dy", "fb"),
                                out_dir=str(tmp_path))
         result = run_experiment(cfg)
@@ -272,9 +289,9 @@ class TestTraceAudit:
     def test_detects_violation(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(HEADER + "\n"
-                        "x,0,1.0,5.0,1.0,1,10,0,0,1.0\n"
-                        "x,1,1.0,0.0,1.0,1,5,0,0,1.0\n")
-        failures = audit_trace_file(path, sigma=0.5)
+                        "x,0,1.0,5.0,1.0,1,10,0,0,1.0,0.5\n"
+                        "x,1,1.0,0.0,1.0,1,5,0,0,1.0,0.5\n")
+        failures = audit_trace_file(path)
         assert any(f.startswith("k=0: acceptance violated") for f in failures), failures
         assert "row 1: h_apps decreased" in failures
 
@@ -286,24 +303,35 @@ class TestTraceAudit:
         lhs = sigma * rhs + 5e-10
         assert lhs <= sigma * rhs + 1e-9 * max(rhs, 1.0)
         path = tmp_path / "slack.csv"
-        path.write_text(HEADER + f"\nx,0,1.0,{lhs!r},{rhs!r},1,10,0,0,{rhs!r}\n")
-        failures = audit_trace_file(path, sigma)
+        path.write_text(HEADER + f"\nx,0,1.0,{lhs!r},{rhs!r},1,10,0,0,{rhs!r},{sigma!r}\n")
+        failures = audit_trace_file(path)
         assert len(failures) == 1 and failures[0].startswith("k=0: acceptance violated")
 
-        path.write_text(HEADER + f"\nx,0,1.0,0.0,{rhs!r},1,10,0,0,{3 * rhs!r}\n")
-        assert main(["audit", str(path), "--sigma", str(sigma)]) == 2
+        path.write_text(HEADER + f"\nx,0,1.0,0.0,{rhs!r},1,10,0,0,{3 * rhs!r},{sigma!r}\n")
+        assert main(["audit", str(path)]) == 2
         assert "k=0: two-sided estimate violated" in capsys.readouterr().err
+
+    def test_given_sigma_must_match_the_recorded_one(self, tmp_path):
+        cfg = named_config("cp1-run2", m=24, n=24, iters=10, seed=1)
+        result = run_experiment(replace(cfg, ref_factor=1, out_dir=str(tmp_path)))
+        path = result.summary["methods"]["hpe-cp"]["trace"]
+        assert parse_trace_csv(path)["sigma"] == [0.95] * 10
+        assert audit_trace_file(path, 0.95) == audit_trace_file(path) == []
+        assert audit_trace_file(path, 0.5) == [
+            "sigma 0.5 was given, but the trace was certified at sigma 0.95"]
 
     @pytest.mark.parametrize("text", [
         "method,k,objective_gap,lhs,rhs,inner_iters,h_apps,wall_ms\n"
         "hpe-cp,0,1.0,0.25,0.5,1,10,0\n",
+        "method,k,objective_gap,lhs,rhs,inner_iters,h_apps,wall_ms,accept_tol,residual\n"
+        "hpe-cp,0,1.0,0.25,0.5,1,10,0,0,0.5\n",
         HEADER + "\nhpe-cp,0,1.0,0.25,0.5,1,10,0,0\n",
-        HEADER + "\nhpe-cp,zero,1.0,0.25,0.5,1,10,0,0,0.5\n",
-    ], ids=["eight-column", "short-row", "bad-number"])
+        HEADER + "\nhpe-cp,zero,1.0,0.25,0.5,1,10,0,0,0.5,0.5\n",
+    ], ids=["eight-column", "ten-column", "short-row", "bad-number"])
     def test_unreadable_trace_is_one_line_error(self, tmp_path, capsys, text):
         path = tmp_path / "old.csv"
         path.write_text(text)
-        assert main(["audit", str(path), "--sigma", "0.5"]) == 1
+        assert main(["audit", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
@@ -318,11 +346,24 @@ class TestMainCli:
         assert (tmp_path / "cp1-run2" / "hpe-cp.csv").exists()
 
     def test_audit_command(self, tmp_path, capsys):
-        main(["run", "cp1-run2", "--m", "24", "--n", "24", "--iters", "15",
-              "--seed", "1", "--out", str(tmp_path)])
+        assert main(["run", "cp1-run2", "--m", "24", "--n", "24", "--iters", "15",
+                     "--seed", "1", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
         trace = tmp_path / "cp1-run2" / "hpe-cp.csv"
-        assert main(["audit", str(trace), "--sigma", "0.95"]) == 0
-        assert main(["audit", str(trace), "--sigma", "0.0"]) == 2
+        assert main(["audit", str(trace)]) == 0
+        assert capsys.readouterr().out == "audit passed\n"
+        # lhs = 0.6 * rhs passes at sigma 0.95 but not at the 0.5 the row records
+        bad = tmp_path / "bad.csv"
+        bad.write_text(HEADER + "\nhpe-cp,0,1.0,0.6,1.0,1,10,0,0,1.0,0.5\n")
+        assert main(["audit", str(bad)]) == 2
+        assert "k=0: acceptance violated" in capsys.readouterr().err
+        # the audit takes no sigma: it runs at the recorded one
+        with pytest.raises(SystemExit) as err:
+            main(["audit", str(trace), "--sigma", "0.5"])
+        assert err.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments: --sigma 0.5")
+        assert err.count("\n") == 1, err
 
     def test_negative_iterations_exit_code(self, tmp_path, capsys):
         code = main(["run", "cp1-run2", "--m", "20", "--n", "20", "--iters", "-3",
@@ -338,26 +379,43 @@ class TestMainCli:
         assert "hpe-cp: final gap none" in capsys.readouterr().out
         assert (tmp_path / "cp1-run2" / "summary.json").exists()
 
-    @pytest.mark.parametrize("name, flag, value, message", [
-        ("cp1-run2", "--sigma", "1.5", "sigma must be in [0, 1)"),
-        ("cp1-run2", "--kappa", "0", "kappa must be positive"),
-        ("dy-run1", "--gamma", "100", "gamma must lie in (0, 2/beta)"),
-        ("cp1-run2", "--m", "1", "m and n must be at least 2"),
-    ], ids=["sigma", "kappa", "gamma", "m"])
-    def test_bad_parameter_fails_before_any_work(self, tmp_path, capsys, name, flag,
-                                                 value, message):
-        code = main(["run", name, "--m", "20", "--n", "20", "--iters", "5",
-                     flag, value, "--out", str(tmp_path)])
+    @pytest.mark.parametrize("name, setting, message", [
+        ("cp1-run2", "--sigma 1.5", "sigma must be in [0, 1)"),
+        ("cp1-run2", "--kappa 0", "kappa must be positive"),
+        ("dy-run1", "--gamma 100", "gamma must lie in (0, 2/beta)"),
+        ("cp1-run2", "--m 1", "m and n must be at least 2"),
+        ("cp1-run2", "--seed -1", "seed must be nonnegative, got -1"),
+        ("dy-run1", "--kappa 7", "dy experiments take no kappa"),
+        ("cp1-run2", "--gamma 5", "cp experiments take no gamma"),
+        ("cp1-run2", "ref_factor = -1", "ref_factor must be nonnegative, got -1"),
+        ("cp1-run2", "spectrum_kind = cosin", "unknown spectrum kind 'cosin'"),
+        ("cp1-run2", "lam = -0.5", "lam must be nonnegative, got -0.5"),
+        ("dy-run1", "lam1 = -0.1", "lam1 must be nonnegative, got -0.1"),
+        ("dy-run1", "lam2 = -0.1", "lam2 must be nonnegative, got -0.1"),
+    ], ids=["sigma", "kappa", "gamma", "m", "seed", "kappa-on-dy", "gamma-on-cp",
+            "ref_factor", "spectrum_kind", "lam", "lam1", "lam2"])
+    def test_bad_parameter_fails_before_any_work(self, tmp_path, capsys, name, setting,
+                                                 message):
+        source = [name, *setting.split()]
+        if "=" in setting:
+            # a key with no flag: the preset as a config file, with the bad line last
+            lines = [f"{key} = {','.join(val) if key == 'methods' else val}"
+                     for key, val in NAMED_EXPERIMENTS[name].items()]
+            path = tmp_path / f"{name}.cfg"
+            path.write_text("\n".join(lines + [setting]) + "\n")
+            source = [str(path)]
+        code = main(["run", *source[:1], "--m", "20", "--n", "20", "--iters", "5",
+                     *source[1:], "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
-        assert not (tmp_path / name).exists()
+        assert not (tmp_path / "out").exists()
 
     def test_module_entry_point_runs_without_warning(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "hpesplit.cli", "audit",
-                               str(tmp_path / "missing.csv"), "--sigma", "0.5"],
+                               str(tmp_path / "missing.csv")],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 1
         assert "RuntimeWarning" not in proc.stderr
@@ -367,7 +425,7 @@ class TestMainCli:
         assert main(["run", "not-an-experiment"]) == 1
 
     def test_missing_trace_exit_code(self, capsys):
-        assert main(["audit", "/nonexistent/trace.csv", "--sigma", "0.5"]) == 1
+        assert main(["audit", "/nonexistent/trace.csv"]) == 1
 
     def test_bad_arguments_exit_code(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -383,6 +441,7 @@ class TestMainCli:
             "m = 16\n"
             "n = 16\n"
             "lam = 0.5\n"
+            "kappa = 0.5\n"
             "sigma = 0.0\n"
             "iters = 5\n"
             "inner_cap = 1\n"

@@ -314,14 +314,6 @@ class TestAudit:
         assert not report.ok
         assert any("acceptance" in f for f in report.failures)
         assert any("two-sided" in f for f in report.failures)
-        with pytest.raises(RuntimeError):
-            report.raise_if_failed()
-
-    def test_step_floor(self):
-        trace = self.run_toy(0.5, iters=120)
-        assert audit_invariants(trace, sigma=0.5, step_floor=1e-3).ok
-        bad = audit_invariants(trace, sigma=0.5, step_floor=1e-30)
-        assert not bad.ok
 
     def test_fejer_length_validation(self):
         trace = self.run_toy(0.5, iters=10)

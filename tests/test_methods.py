@@ -315,8 +315,6 @@ class TestInexactDy:
             DyParams(gamma=3.0, beta=1.0)
         with pytest.raises(ValueError):
             DyParams(gamma=0.0, beta=1.0)
-        with pytest.raises(ValueError):
-            DyParams(gamma=1.0, beta=1.0, alpha=0.9)
 
     def test_h_counts_match_inner_iterations(self):
         # the forward term costs D applications only; H counts stay 2 + 4*inner
