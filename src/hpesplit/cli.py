@@ -18,9 +18,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args
 
 import numpy as np
 
@@ -96,6 +96,9 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown methods for family {self.family!r}: {unknown}; "
                              f"choose from {list(known)}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ValueError(f"methods named more than once: {repeated}")
         for name in ("seed", "iters", "ref_factor", "lam", "lam1", "lam2"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -159,8 +162,11 @@ def named_config(name, **overrides):
 
 
 def config_from_file(path, **overrides):
-    """Parse a flat ``key = value`` config file; command-line overrides win."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    """Parse a flat ``key = value`` config file; command-line overrides win.
+
+    Each value is read as the declared type of its `ExperimentConfig` field.
+    """
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -170,25 +176,31 @@ def config_from_file(path, **overrides):
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in types:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, val.strip())
+        try:
+            values[key] = _coerce(types[key], val.strip())
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {key} {err}") from None
     values.update({k: v for k, v in overrides.items() if v is not None})
     values.setdefault("experiment", Path(path).stem)
     return ExperimentConfig(**values)
 
 
-def _coerce(key, val):
-    if key == "methods":
+def _coerce(kind, val):
+    """``val`` read as type ``kind``: Optional[X] as X, a tuple split on commas,
+    a bool only from true or false."""
+    kind = next((arg for arg in get_args(kind) if arg is not type(None)), kind)
+    if kind is tuple:
         return tuple(v.strip() for v in val.split(","))
-    if val.lower() in ("true", "false"):
+    if kind is bool:
+        if val.lower() not in ("true", "false"):
+            raise ValueError(f"must be true or false, got {val!r}")
         return val.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(val)
-        except ValueError:
-            continue
-    return val
+    try:
+        return kind(val)
+    except ValueError:
+        raise ValueError(f"must be {kind.__name__}, got {val!r}") from None
 
 
 def emit_trace(trace, path):
@@ -265,34 +277,30 @@ def run_method(name, cfg, inst, norms):
         oracle = LsqResolvent(H, f, p.tau, x0=x0)
         return inexact_cp_run(oracle, D, lambda v: clip(v, cfg.lam), p, x0, y0,
                               cfg.iters, inner_cap=cfg.inner_cap, objective=objective,
-                              norm_K=norms["D"], method=name)
+                              norm_K=norms["D"])
     if name == "implicit-cp":
-        return implicit_cp_run(H, f, D, cfg.lam, p, x0, y0, cfg.iters,
-                               objective=objective, method=name)
+        return implicit_cp_run(H, f, D, cfg.lam, p, x0, y0, cfg.iters, objective=objective)
     if name == "condat-vu":
         tau = 1.0 / norms["H"] ** 2
         theta = 0.9 * (1.0 / tau - norms["H"] ** 2 / 2.0) / norms["D"] ** 2
         return condat_vu_run(H, f, D, cfg.lam, tau, theta, x0, y0, cfg.iters,
-                             norm_H=norms["H"], norm_D=norms["D"],
-                             objective=objective, method=name)
+                             norm_H=norms["H"], norm_D=norms["D"], objective=objective)
     if name == "explicit-cp":
         norm_K = float(np.sqrt(norms["H"] ** 2 + norms["D"] ** 2))
         return explicit_cp_run(H, f, D, cfg.lam, p.kappa, x0, np.zeros(fresh.m), y0,
-                               cfg.iters, norm_K=norm_K, objective=objective,
-                               method=name)
+                               cfg.iters, norm_K=norm_K, objective=objective)
     if name == "hpe-dy":
         oracle = LsqResolvent(H, f, p.gamma, x0=x0)
         return inexact_dy_run(oracle, lambda v: soft_threshold(v, p.gamma * cfg.lam1),
                               lambda x: _huber_forward(D, cfg.lam2, HUBER_DELTA, x),
                               p, x0, cfg.iters, inner_cap=cfg.inner_cap,
-                              objective=objective, method=name)
+                              objective=objective)
     if name == "implicit-dy":
         return implicit_dy_run(H, f, D, cfg.lam1, cfg.lam2, HUBER_DELTA, x0, cfg.iters,
-                               gamma=p.gamma, beta=p.beta, objective=objective,
-                               method=name)
+                               gamma=p.gamma, objective=objective)
     if name == "fb":
         return fb_run(H, f, D, cfg.lam1, cfg.lam2, HUBER_DELTA, x0, cfg.iters,
-                      norm_H=norms["H"], objective=objective, method=name)
+                      norm_H=norms["H"], objective=objective)
     raise ValueError(f"unknown method {name!r}")
 
 
@@ -313,8 +321,6 @@ class ExperimentResult:
     config: ExperimentConfig
     out_dir: Path
     summary: dict
-    traces: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
 
     @property
     def certification_failed(self):
@@ -389,8 +395,6 @@ def run_experiment(cfg):
             entry["audit_ok"] = report.ok
             entry["audit_failures"] = report.failures[:10]
         summary["methods"][name] = entry
-        result.traces[name] = trace
-        result.results[name] = mres
 
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -473,8 +477,12 @@ def main(argv=None):
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    try:
+        result = run_experiment(cfg)
+    except OSError as err:  # an unusable output place
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
-    result = run_experiment(cfg)
     print(f"experiment {cfg.experiment}: traces in {result.out_dir}")
     for name, entry in result.summary["methods"].items():
         if entry.get("certification_failure"):

@@ -2,7 +2,7 @@
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -39,11 +39,6 @@ class LinearMap:
     def zeros(cls, rows, cols, name="0"):
         return cls(np.zeros((rows, cols)), name=name)
 
-    @classmethod
-    def vstack(cls, maps, name=""):
-        """Stack maps vertically: forward concatenates the blocks' outputs."""
-        return cls(np.vstack([m.as_matrix() for m in maps]), name=name)
-
     @property
     def rows(self):
         return self._mat.shape[0]
@@ -73,10 +68,6 @@ class LinearMap:
         clone.adjoint_count = 0
         return clone
 
-    def reset_counts(self):
-        self.forward_count = 0
-        self.adjoint_count = 0
-
     def _check_dim(self, x, expected, kind):
         x = np.asarray(x, dtype=float)
         if x.shape != (expected,):
@@ -103,19 +94,17 @@ class LinearMap:
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Stopping control for inner iterations; any configured criterion firing stops.
+    """Stopping control for inner iterations; either configured criterion firing stops.
 
     ``tol`` is a relative residual threshold ||b - A x|| / ||b|| (absolute when
-    ||b|| = 0).  ``predicate`` is called as ``predicate(x, residual, k)`` after
-    every step and stops when it returns True.  ``cap`` bounds the step count.
+    ||b|| = 0).  ``cap`` bounds the step count.
     """
 
     tol: Optional[float] = None
-    predicate: Optional[Callable[[np.ndarray, np.ndarray, int], bool]] = None
     cap: Optional[int] = None
 
     def __post_init__(self):
-        if self.tol is None and self.predicate is None and self.cap is None:
+        if self.tol is None and self.cap is None:
             raise ValueError("StoppingRule needs at least one criterion")
         if self.tol is not None and not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
@@ -126,12 +115,8 @@ class StoppingRule:
     def relative_residual(cls, tol, cap=None):
         return cls(tol=tol, cap=cap)
 
-    @classmethod
-    def from_predicate(cls, fn, cap=None):
-        return cls(predicate=fn, cap=cap)
 
-
-def cg_solve(apply, b, x0=None, stop=None):
+def cg_solve(apply, b, x0=None, *, stop):
     """Conjugate gradients for a symmetric positive semidefinite system.
 
     Parameters
@@ -144,16 +129,13 @@ def cg_solve(apply, b, x0=None, stop=None):
     x0 : ndarray, optional
         Warm start; zeros when omitted.
     stop : StoppingRule
-        Residual tolerance, external predicate (checked after every step), or
-        iteration cap; whichever fires first stops.
+        Residual tolerance or iteration cap; whichever fires first stops.
 
     Returns
     -------
     (x, iterations) : the iterate at stop time and the number of CG steps taken.
     """
     b = np.asarray(b, dtype=float)
-    if stop is None:
-        stop = StoppingRule.relative_residual(1e-10, cap=10 * b.size)
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     if x.shape != b.shape:
         raise ValueError(f"x0 shape {x.shape} does not match b shape {b.shape}")
@@ -196,15 +178,13 @@ def cg_solve(apply, b, x0=None, stop=None):
         k += 1
         if threshold is not None and np.sqrt(rs_new) <= threshold:
             return x, k
-        if stop.predicate is not None and stop.predicate(x, r, k):
-            return x, k
         p = r + (rs_new / rs) * p
         rs = rs_new
     return x, k
 
 
-def estimate_spectral_norm(op, tol=1e-6, max_iter=1000, seed=0):
-    """Estimate ||op|| by power iteration on op^T op from a seeded Gaussian start.
+def estimate_spectral_norm(op, tol=1e-6, max_iter=1000):
+    """Estimate ||op|| by power iteration on op^T op from a Gaussian start (seed 0).
 
     Uses uncounted applications so that setup work does not pollute the
     benchmark counters. Warns and returns the best estimate if ``max_iter`` is
@@ -212,7 +192,7 @@ def estimate_spectral_norm(op, tol=1e-6, max_iter=1000, seed=0):
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(op.cols)
     nv = np.linalg.norm(v)
     if nv == 0:

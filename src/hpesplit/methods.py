@@ -8,7 +8,7 @@ soon as the relative-error check of `hpe.certify` passes: DR and DY through
 the reduced step `hpe.reduced_hpe_run`, CP with its own M-seminorm check.
 An oracle is anything with the `LsqResolvent` protocol: ``set_target(rhs) ->
 (candidate, witness)`` carrying the previous candidate as warm start, and
-``refine(steps) -> (candidate, witness)``.
+``refine() -> (candidate, witness)`` for one improvement.
 
 Baselines: the same primal-dual iteration with a fixed-tolerance inner solve
 (`implicit_cp_run`, `implicit_dy_run`), the fully dualized explicit variant
@@ -49,8 +49,8 @@ class CpParams:
             raise ValueError(f"kappa must be positive, got {kappa}")
         return cls(tau=1.0 / (2.0 * kappa), theta=kappa / 2.0, sigma=sigma, kappa=kappa)
 
-    def validate_norm(self, norm_K, slack=1e-9):
-        if self.tau * self.theta * norm_K ** 2 > 1.0 + slack:
+    def validate_norm(self, norm_K):
+        if self.tau * self.theta * norm_K ** 2 > 1.0 + 1e-9:
             raise ValueError(
                 f"tau*theta*||K||^2 = {self.tau * self.theta * norm_K ** 2:.6f} exceeds 1")
 
@@ -95,9 +95,7 @@ class MethodResult:
     aux: dict = field(default_factory=dict)
 
 
-def _counter(h_counter, oracle):
-    if h_counter is not None:
-        return h_counter
+def _counter(oracle):
     if hasattr(oracle, "H"):
         return lambda: oracle.H.total_count
     return lambda: 0
@@ -106,7 +104,7 @@ def _counter(h_counter, oracle):
 def _oracle_callbacks(oracle, assemble):
     """The produce/refine callbacks of `reduced_hpe_run` around a refinable oracle."""
     return (lambda k, w: assemble(*oracle.set_target(w)),
-            lambda k, w, pair: assemble(*oracle.refine(1)))
+            lambda k, w, pair: assemble(*oracle.refine()))
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +112,7 @@ def _oracle_callbacks(oracle, assemble):
 # ---------------------------------------------------------------------------
 
 def eckstein_yao_run(a1_oracle, j_a2, tau, sigma, w0, iters, inner_cap=200,
-                     accept_atol=1e-14, record_invariants=False, objective=None,
-                     h_counter=None, method="hpe-dr"):
+                     accept_atol=1e-14, record_invariants=False, objective=None):
     """Inexact Douglas-Rachford with a per-step relative-error certificate.
 
     Each outer step proposes (x1, a1) with a1 in A1(x1) and tau*a1 + x1 close
@@ -147,7 +144,7 @@ def eckstein_yao_run(a1_oracle, j_a2, tau, sigma, w0, iters, inner_cap=200,
     def step(k, state):
         nonlocal crosscheck
         w = state[1]
-        w_next, (x1, x2, a1, ta2), rec = reduced_hpe_run(produce, refine, k, w, cfg, method)
+        w_next, (x1, x2, a1, ta2), rec = reduced_hpe_run(produce, refine, k, w, cfg, "hpe-dr")
         gap = float(np.linalg.norm(w - (tau * a1 + ta2) - w_next))
         crosscheck = max(crosscheck, gap)
         if gap > 1e-10 * (1.0 + np.linalg.norm(w_next)):
@@ -156,14 +153,14 @@ def eckstein_yao_run(a1_oracle, j_a2, tau, sigma, w0, iters, inner_cap=200,
 
     w0 = np.array(w0, dtype=float)
     trace, (x2, w, x1) = iterate(step, (w0, w0, None), iters, objective,
-                                 _counter(h_counter, a1_oracle),
-                                 itemgetter(1) if record_invariants else None, method, sigma)
+                                 _counter(a1_oracle),
+                                 itemgetter(1) if record_invariants else None, "hpe-dr", sigma)
     return MethodResult(trace, x2, aux={"w": w, "x1": x1, "update_crosscheck": crosscheck})
 
 
 def inexact_cp_run(a1_oracle, K, j_a2_inv, p, x0, y0, iters, inner_cap=200,
                    accept_atol=1e-14, record_invariants=False, objective=None,
-                   h_counter=None, norm_K=None, method="hpe-cp"):
+                   norm_K=None):
     """Primal-dual iteration with a certified inexact primal resolvent.
 
     One outer step at (x, y): propose (x1, a) with tau*a + x1 close to
@@ -202,22 +199,21 @@ def inexact_cp_run(a1_oracle, K, j_a2_inv, p, x0, y0, iters, inner_cap=200,
 
         (_, a, yt), lhs, rhs_norm, inner, atol = certify(
             cfg, assemble(*a1_oracle.set_target(rhs)),
-            lambda pair: assemble(*a1_oracle.refine(1)), check,
-            1.0 + np.linalg.norm(rhs) + np.linalg.norm(y), k, method)
+            lambda pair: assemble(*a1_oracle.refine()), check,
+            1.0 + np.linalg.norm(rhs) + np.linalg.norm(y), k, "hpe-cp")
         x_next = rhs - tau * a
         # read only by audit_invariants, so its K application is uncounted
         residual = m_norm(x_next - x, yt - y, K.apply_uncounted)
         return (x_next, yt), StepRecord(lhs, rhs_norm, inner, residual, atol)
 
     trace, (x, y) = iterate(step, (np.array(x0, dtype=float), np.array(y0, dtype=float)),
-                            iters, objective, _counter(h_counter, a1_oracle),
-                            np.concatenate if record_invariants else None, method, p.sigma)
+                            iters, objective, _counter(a1_oracle),
+                            np.concatenate if record_invariants else None, "hpe-cp", p.sigma)
     return MethodResult(trace, x, aux={"y": y})
 
 
 def inexact_dy_run(a1_oracle, j_a2, b_apply, p, w0, iters, inner_cap=200,
-                   accept_atol=1e-14, record_invariants=False, objective=None,
-                   h_counter=None, method="hpe-dy"):
+                   accept_atol=1e-14, record_invariants=False, objective=None):
     """Three-operator splitting with a certified inexact resolvent of the smooth-data term.
 
     One outer step at w: propose (x1, a1) with gamma*a1 + x1 close to w, set
@@ -242,13 +238,13 @@ def inexact_dy_run(a1_oracle, j_a2, b_apply, p, w0, iters, inner_cap=200,
     produce, refine = _oracle_callbacks(a1_oracle, assemble)
 
     def step(k, state):
-        w_next, (x1, x2), rec = reduced_hpe_run(produce, refine, k, state[1], cfg, method)
+        w_next, (x1, x2), rec = reduced_hpe_run(produce, refine, k, state[1], cfg, "hpe-dy")
         return (x2, w_next, x1), rec
 
     w0 = np.array(w0, dtype=float)
     trace, (x2, w, x1) = iterate(step, (w0, w0, None), iters, objective,
-                                 _counter(h_counter, a1_oracle),
-                                 itemgetter(1) if record_invariants else None, method, p.sigma)
+                                 _counter(a1_oracle),
+                                 itemgetter(1) if record_invariants else None, "hpe-dy", p.sigma)
     return MethodResult(trace, x2, aux={"x1": x1, "w": w})
 
 
@@ -256,8 +252,10 @@ def inexact_dy_run(a1_oracle, j_a2, b_apply, p, w0, iters, inner_cap=200,
 # baselines
 # ---------------------------------------------------------------------------
 
-def _lsq_cg_step(H, tau, b, x_warm, cg_tol, cap):
-    """One fixed-tolerance inner solve of (I + tau HtH) x = b, warm-started."""
+def _lsq_cg_step(H, tau, b, x_warm, cg_tol):
+    """One fixed-tolerance inner solve of (I + tau HtH) x = b, warm-started and
+    capped at 10 n CG steps."""
+    cap = 10 * b.size
 
     def apply(v):
         return v + tau * H.apply_adjoint(H.apply(v))
@@ -272,8 +270,8 @@ def _lsq_cg_step(H, tau, b, x_warm, cg_tol, cap):
     return x, it
 
 
-def implicit_cp_run(H, f, D, lam, p, x0, y0, iters, cg_tol=1e-8, cg_cap=None,
-                    record_invariants=False, objective=None, method="implicit-cp"):
+def implicit_cp_run(H, f, D, lam, p, x0, y0, iters, cg_tol=1e-8,
+                    record_invariants=False, objective=None):
     """Primal-dual iteration with the primal resolvent solved to a fixed CG tolerance.
 
         x <- (I + tau HtH)^{-1} (x - tau*(Dt y - Ht f))      [CG, warm start x]
@@ -282,23 +280,22 @@ def implicit_cp_run(H, f, D, lam, p, x0, y0, iters, cg_tol=1e-8, cg_cap=None,
     tau, theta = p.tau, p.theta
     f = np.asarray(f, dtype=float)
     x0 = np.array(x0, dtype=float)
-    cap = cg_cap if cg_cap is not None else 10 * x0.size
     htf = H.apply_adjoint(f)
 
     def step(k, state):
         x, y = state
         b = x - tau * (D.apply_adjoint(y) - htf)
-        x_next, it = _lsq_cg_step(H, tau, b, x, cg_tol, cap)
+        x_next, it = _lsq_cg_step(H, tau, b, x, cg_tol)
         return (x_next, clip(y + theta * D.apply(2.0 * x_next - x), lam)), StepRecord(inner=it)
 
     trace, (x, y) = iterate(step, (x0, np.array(y0, dtype=float)), iters, objective,
                             lambda: H.total_count,
-                            np.concatenate if record_invariants else None, method)
+                            np.concatenate if record_invariants else None, "implicit-cp")
     return MethodResult(trace, x, aux={"y": y})
 
 
 def explicit_cp_run(H, f, D, lam, kappa, x0, u0, v0, iters, norm_K=None,
-                    record_invariants=False, objective=None, method="explicit-cp"):
+                    record_invariants=False, objective=None):
     """Fully dualized primal-dual iteration: forward applications of H and D only.
 
         x <- x - tau*(Ht u + Dt v)
@@ -325,12 +322,12 @@ def explicit_cp_run(H, f, D, lam, kappa, x0, u0, v0, iters, norm_K=None,
 
     start = tuple(np.array(a, dtype=float) for a in (x0, u0, v0))
     trace, (x, u, v) = iterate(step, start, iters, objective, lambda: H.total_count,
-                               itemgetter(0) if record_invariants else None, method)
+                               itemgetter(0) if record_invariants else None, "explicit-cp")
     return MethodResult(trace, x, aux={"u": u, "v": v, "tau": tau, "theta": theta})
 
 
 def condat_vu_run(H, f, D, lam, tau, theta, x0, y0, iters, norm_H=None, norm_D=None,
-                  record_invariants=False, objective=None, method="condat-vu"):
+                  record_invariants=False, objective=None):
     """Forward-step primal-dual iteration on the data term.
 
         x <- x - tau*(Ht(H x - f) + Dt y)
@@ -357,7 +354,7 @@ def condat_vu_run(H, f, D, lam, tau, theta, x0, y0, iters, norm_H=None, norm_D=N
 
     trace, (x, y) = iterate(step, (np.array(x0, dtype=float), np.array(y0, dtype=float)),
                             iters, objective, lambda: H.total_count,
-                            itemgetter(0) if record_invariants else None, method)
+                            itemgetter(0) if record_invariants else None, "condat-vu")
     return MethodResult(trace, x, aux={"y": y})
 
 
@@ -367,56 +364,48 @@ def _huber_forward(D, lam2, delta, x):
     return lam2 * D.apply_adjoint(huber_gradient(D.apply(x), delta))
 
 
-def implicit_dy_run(H, f, D, lam1, lam2, delta, w0, iters, gamma=None, beta=None,
-                    cg_tol=1e-8, cg_cap=None, record_invariants=False,
-                    objective=None, method="implicit-dy"):
+def implicit_dy_run(H, f, D, lam1, lam2, delta, w0, iters, gamma=None, cg_tol=1e-8,
+                    record_invariants=False, objective=None):
     """Three-operator splitting with the data resolvent solved to a fixed CG tolerance.
 
         x1 <- (I + gamma HtH)^{-1} (w + gamma Ht f)          [CG, warm start x1]
         x2 <- soft(2 x1 - w - gamma*lam2*Dt grad_huber(D x1), gamma*lam1)
         w  <- w + (x2 - x1)/(1 + alpha)
 
-    with beta = 4*lam2 by default (floored when lam2 = 0), gamma = 1/beta, and
+    with beta = 4*lam2 (floored when lam2 = 0), gamma = 1/beta by default, and
     alpha = gamma*beta/(4 - gamma*beta).
     """
-    if beta is None:
-        beta = max(4.0 * lam2, 1e-12)
-    if gamma is None:
-        gamma = 1.0 / beta
-    params = DyParams(gamma=gamma, beta=beta)  # validates gamma in (0, 2/beta)
-    alpha = params.alpha
+    # validates gamma in (0, 2/beta)
+    params = DyParams.from_beta(max(4.0 * lam2, 1e-12), gamma=gamma)
+    gamma, alpha = params.gamma, params.alpha
     f = np.asarray(f, dtype=float)
     w0 = np.array(w0, dtype=float)
-    cap = cg_cap if cg_cap is not None else 10 * w0.size
     htf = H.apply_adjoint(f)
 
     def step(k, state):
         _, w, x1 = state
-        x1, it = _lsq_cg_step(H, gamma, w + gamma * htf, x1, cg_tol, cap)
+        x1, it = _lsq_cg_step(H, gamma, w + gamma * htf, x1, cg_tol)
         x2 = soft_threshold(2.0 * x1 - w - gamma * _huber_forward(D, lam2, delta, x1),
                             gamma * lam1)
         return (x2, w + (x2 - x1) / (1.0 + alpha), x1), StepRecord(inner=it)
 
     trace, (x2, w, x1) = iterate(step, (w0, w0, w0.copy()), iters, objective,
                                  lambda: H.total_count,
-                                 itemgetter(1) if record_invariants else None, method)
+                                 itemgetter(1) if record_invariants else None, "implicit-dy")
     return MethodResult(trace, x2, aux={"w": w, "x1": x1, "gamma": gamma, "alpha": alpha})
 
 
-def fb_run(H, f, D, lam1, lam2, delta, x0, iters, gamma=None, norm_H=None,
-           record_invariants=False, objective=None, method="fb"):
+def fb_run(H, f, D, lam1, lam2, delta, x0, iters, norm_H=None,
+           record_invariants=False, objective=None):
     """Forward-backward iteration: full forward step, one soft threshold.
 
         x <- soft(x - gamma*(Ht(H x - f) + lam2*Dt grad_huber(D x)), gamma*lam1)
 
-    with gamma = 1/(||H||^2 + 4*lam2) by default.
+    with gamma = 1/(||H||^2 + 4*lam2).
     """
-    if gamma is None:
-        if norm_H is None:
-            norm_H = estimate_spectral_norm(H)
-        gamma = 1.0 / (norm_H ** 2 + 4.0 * lam2)
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if norm_H is None:
+        norm_H = estimate_spectral_norm(H)
+    gamma = 1.0 / (norm_H ** 2 + 4.0 * lam2)
     f = np.asarray(f, dtype=float)
 
     def step(k, state):
@@ -426,5 +415,5 @@ def fb_run(H, f, D, lam1, lam2, delta, x0, iters, gamma=None, norm_H=None,
 
     trace, (x,) = iterate(step, (np.array(x0, dtype=float),), iters, objective,
                           lambda: H.total_count,
-                          itemgetter(0) if record_invariants else None, method)
+                          itemgetter(0) if record_invariants else None, "fb")
     return MethodResult(trace, x, aux={"gamma": gamma})

@@ -74,10 +74,6 @@ class LsqResolvent:
         return self._x
 
     @property
-    def witness(self):
-        return self._a
-
-    @property
     def residual_norm(self):
         """||tau a + x - rhs||, the quantity the outer relative-error check consumes."""
         return float(np.linalg.norm(self._res))
@@ -102,28 +98,27 @@ class LsqResolvent:
         self._rs = float(self._res @ self._res)
         return self._x, self._a
 
-    def refine(self, steps=1):
-        """Advance CG by `steps` iterations; returns the updated (candidate, witness)."""
+    def refine(self):
+        """Advance CG by one iteration; returns the updated (candidate, witness)."""
         # not linalg.cg_solve: the residual is rebuilt from the exact witness
         # after every step (that is the certificate), where cg_solve updates it
         # by recurrence, so a shared step would branch on its caller
         if self._rhs is None:
             raise RuntimeError("set_target must be called before refine")
-        for _ in range(steps):
-            if self.stalled:
-                break
-            ap = self._p + self.tau * self.H.apply_adjoint(self.H.apply(self._p))
-            pap = float(self._p @ ap)
-            if not np.isfinite(pap):
-                raise NumericalError("non-finite curvature in resolvent refinement")
-            if pap <= 0.0:
-                break
-            alpha = self._rs / pap
-            self._x = self._x + alpha * self._p
-            self._recompute_witness()
-            self._res = self._rhs - self._x - self.tau * self._a
-            rs_new = float(self._res @ self._res)
-            self._p = self._res + (rs_new / self._rs) * self._p
-            self._rs = rs_new
+        if self.stalled:
+            return self._x, self._a
+        ap = self._p + self.tau * self.H.apply_adjoint(self.H.apply(self._p))
+        pap = float(self._p @ ap)
+        if not np.isfinite(pap):
+            raise NumericalError("non-finite curvature in resolvent refinement")
+        if pap <= 0.0:
+            return self._x, self._a
+        alpha = self._rs / pap
+        self._x = self._x + alpha * self._p
+        self._recompute_witness()
+        self._res = self._rhs - self._x - self.tau * self._a
+        rs_new = float(self._res @ self._res)
+        self._p = self._res + (rs_new / self._rs) * self._p
+        self._rs = rs_new
         return self._x, self._a
 

@@ -142,20 +142,17 @@ class ProblemInstance:
         return replace(self, H=self.H.fresh(), D=self.D.fresh())
 
 
-def make_cp_instance(m, n, seed, lam, kind="cosine", jumps=10, sparsity=0.5,
-                     noise_std=None):
+def make_cp_instance(m, n, seed, lam, kind="cosine", sparsity=0.5, noise_std=None):
     """Instance of the data-fit plus total-variation family."""
     H = gen_illcond_matrix(m, n, kind=kind, seed=seed)
-    x_true, f, _ = gen_signal_and_data(H, seed + 1, jumps=jumps, sparsity=sparsity,
-                                       noise_std=noise_std)
+    x_true, f, _ = gen_signal_and_data(H, seed + 1, sparsity=sparsity, noise_std=noise_std)
     return ProblemInstance(H, gen_diff_matrix(n), f, x_true, {"lam": lam})
 
 
-def make_dy_instance(m, n, seed, lam1, lam2, delta, kind="cosine", jumps=10,
-                     sparsity=0.0, noise_std=None):
+def make_dy_instance(m, n, seed, lam1, lam2, delta, kind="cosine", sparsity=0.0,
+                     noise_std=None):
     """Instance of the sparse plus smoothed-total-variation family."""
     H = gen_illcond_matrix(m, n, kind=kind, seed=seed)
-    x_true, f, _ = gen_signal_and_data(H, seed + 1, jumps=jumps, sparsity=sparsity,
-                                       noise_std=noise_std)
+    x_true, f, _ = gen_signal_and_data(H, seed + 1, sparsity=sparsity, noise_std=noise_std)
     return ProblemInstance(H, gen_diff_matrix(n), f, x_true,
                            {"lam1": lam1, "lam2": lam2, "delta": delta})

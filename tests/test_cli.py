@@ -392,10 +392,19 @@ class TestMainCli:
         ("cp1-run2", "lam = -0.5", "lam must be nonnegative, got -0.5"),
         ("dy-run1", "lam1 = -0.1", "lam1 must be nonnegative, got -0.1"),
         ("dy-run1", "lam2 = -0.1", "lam2 must be nonnegative, got -0.1"),
+        ("cp1-run2", "sigma = abc", "{cfg}:9: sigma must be float, got 'abc'"),
+        ("cp1-run2", "ref_factor = 1.5", "{cfg}:9: ref_factor must be int, got '1.5'"),
+        ("cp1-run2", "methods = hpe-cp, hpe-cp", "methods named more than once: ['hpe-cp']"),
+        ("cp1-run2", "--out {tmp}/file/out", "[Errno 20] Not a directory"),
     ], ids=["sigma", "kappa", "gamma", "m", "seed", "kappa-on-dy", "gamma-on-cp",
-            "ref_factor", "spectrum_kind", "lam", "lam1", "lam2"])
+            "ref_factor", "spectrum_kind", "lam", "lam1", "lam2", "sigma-not-a-number",
+            "ref_factor-not-an-integer", "repeated-method", "out-below-a-file"])
     def test_bad_parameter_fails_before_any_work(self, tmp_path, capsys, name, setting,
                                                  message):
+        # a regular file that an output directory cannot be made below
+        (tmp_path / "file").write_text("")
+        setting = setting.format(tmp=tmp_path)
+        message = message.format(cfg=tmp_path / f"{name}.cfg")
         source = [name, *setting.split()]
         if "=" in setting:
             # a key with no flag: the preset as a config file, with the bad line last
@@ -404,8 +413,9 @@ class TestMainCli:
             path = tmp_path / f"{name}.cfg"
             path.write_text("\n".join(lines + [setting]) + "\n")
             source = [str(path)]
+        # a setting's own --out comes last, so it wins
         code = main(["run", *source[:1], "--m", "20", "--n", "20", "--iters", "5",
-                     *source[1:], "--out", str(tmp_path / "out")])
+                     "--out", str(tmp_path / "out"), *source[1:]])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err

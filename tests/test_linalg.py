@@ -50,8 +50,6 @@ class TestLinearMap:
         A.apply_uncounted(x)
         A.apply_adjoint_uncounted(x)
         assert A.total_count == 8
-        A.reset_counts()
-        assert A.total_count == 0
 
     def test_fresh_shares_matrix_zero_counters(self):
         A = LinearMap([[2.0]])
@@ -71,12 +69,6 @@ class TestLinearMap:
         A = LinearMap.identity(2)
         with pytest.raises(ValueError):
             A.as_matrix()[0, 0] = 5.0
-
-    def test_vstack(self):
-        top = LinearMap.identity(2)
-        bot = LinearMap([[1.0, 1.0]])
-        S = LinearMap.vstack([top, bot])
-        np.testing.assert_allclose(S.apply(np.array([1.0, 2.0])), [1.0, 2.0, 3.0])
 
 
 class TestStoppingRule:
@@ -126,14 +118,10 @@ class TestCgSolve:
         x_star = np.linalg.solve(A, b)
 
         energies = []
-
-        def track(x, r, k):
+        for k in range(1, 31):
+            x, _ = cg_solve(lambda v: A @ v, b, stop=StoppingRule(cap=k))
             e = x - x_star
             energies.append(float(e @ (A @ e)))
-            return False
-
-        cg_solve(lambda v: A @ v, b, stop=StoppingRule.from_predicate(track, cap=30))
-        assert len(energies) == 30
         # non-increasing up to rounding noise at the converged floor
         floor = 1e-14 * energies[0]
         for prev, cur in zip(energies, energies[1:]):
@@ -145,21 +133,6 @@ class TestCgSolve:
                         stop=StoppingRule.relative_residual(1e-10))
         assert k == 0
         np.testing.assert_allclose(x, b)
-
-    def test_predicate_checked_each_step(self):
-        rng = np.random.default_rng(5)
-        G = rng.standard_normal((12, 12))
-        A = G @ G.T + 12 * np.eye(12)
-        b = rng.standard_normal(12)
-        seen = []
-
-        def stop_after_three(x, r, k):
-            seen.append(k)
-            return k >= 3
-
-        x, k = cg_solve(lambda v: A @ v, b, stop=StoppingRule.from_predicate(stop_after_three))
-        assert k == 3
-        assert seen == [1, 2, 3]
 
     def test_zero_rhs_absolute_residual(self):
         x, k = cg_solve(lambda v: v, np.zeros(4), stop=StoppingRule.relative_residual(1e-10))

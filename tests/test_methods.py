@@ -16,6 +16,7 @@ from hpesplit.methods import (
     inexact_dy_run,
 )
 from hpesplit.operators import LsqResolvent, clip, huber_gradient, soft_threshold
+from hpesplit.problems import SPECTRUM_KINDS, make_cp_instance, make_dy_instance
 
 
 class ExactProxOracle:
@@ -31,7 +32,7 @@ class ExactProxOracle:
         self._pair = (x, (target - x) / self.tau)
         return self._pair
 
-    def refine(self, steps=1):
+    def refine(self):
         return self._pair
 
 
@@ -580,6 +581,7 @@ class TestSharedOuterLoop:
     def test_rows_iterates_and_counts(self, name, iters):
         res = run_each_method(name, iters)
         trace = res.trace
+        assert trace.method == name
         assert len(trace) == iters
         assert trace.k == list(range(iters))
         assert len(trace.iterates) == iters + 1
@@ -588,6 +590,48 @@ class TestSharedOuterLoop:
         assert res.final_x.shape == (8,)
         if iters == 0:
             np.testing.assert_array_equal(res.final_x, 0.0)
+
+
+class TestRandomisedAuditSweep:
+    def test_certified_traces_pass_the_audit(self):
+        # per seed: sizes, spectrum and sigma shared by the three certified
+        # methods, then each method's own stepsize; every trace must pass the
+        # audit at the sigma it was run with
+        failures = []
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            m, n = (int(v) for v in rng.integers(4, 41, size=2))
+            kind = SPECTRUM_KINDS[rng.integers(len(SPECTRUM_KINDS))]
+            sigma = float(rng.uniform(0.0, 0.99))
+            kappa = float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))
+            lam2 = float(rng.uniform(0.0, 0.2))
+            beta = max(4.0 * lam2, 1e-12)
+            gamma = float(rng.uniform(0.0, 2.0 / beta))
+            tau = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+            x0 = np.zeros(n)
+
+            cp = make_cp_instance(m, n, seed, 0.5, kind=kind)
+            p = CpParams.from_kappa(kappa, sigma=sigma)
+            hpe_cp = inexact_cp_run(LsqResolvent(cp.H, cp.f, p.tau), cp.D,
+                                    lambda v: clip(v, 0.5), p, x0, np.zeros(n - 1), 40)
+
+            dy = make_dy_instance(m, n, seed, 0.01, lam2, 0.05, kind=kind)
+            q = DyParams(gamma=gamma, beta=beta, sigma=sigma)
+            b_apply = lambda x: lam2 * dy.D.apply_adjoint(huber_gradient(dy.D.apply(x), 0.05))
+            hpe_dy = inexact_dy_run(LsqResolvent(dy.H, dy.f, gamma),
+                                    lambda v: soft_threshold(v, gamma * 0.01), b_apply, q,
+                                    x0, 40)
+
+            dr = dy.fresh()
+            hpe_dr = eckstein_yao_run(LsqResolvent(dr.H, dr.f, tau),
+                                      lambda v: soft_threshold(v, tau * 0.01), tau, sigma,
+                                      x0, 40)
+
+            for res in (hpe_cp, hpe_dy, hpe_dr):
+                report = audit_invariants(res.trace, sigma)
+                if not report.ok:
+                    failures.append((seed, res.trace.method, report.failures[0]))
+        assert not failures, failures
 
 
 class TestRefineMonotonicity:
@@ -601,7 +645,7 @@ class TestRefineMonotonicity:
             oracle.set_target(rng.standard_normal(n))
             prev = oracle.residual_norm
             for _ in range(8):
-                oracle.refine(1)
+                oracle.refine()
                 cur = oracle.residual_norm
                 if prev > 1e-13:
                     assert cur < prev

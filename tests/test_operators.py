@@ -122,14 +122,15 @@ class TestLsqResolventOracle:
         scale = 1 + np.linalg.norm(rhs)
         assert oracle.residual_norm <= 1e-12 * scale
         x_before = oracle.candidate.copy()
-        oracle.refine(1)
+        oracle.refine()
         assert np.linalg.norm(oracle.candidate - x_before) <= 1e-12 * np.linalg.norm(x_before)
 
     def test_full_cg_reaches_direct_solve(self):
         H, _, f, rhs, tau, solution = self.setup_problem()
         oracle = LsqResolvent(H, f, tau)
         oracle.set_target(rhs, warm_start=np.zeros(H.cols))
-        x, a = oracle.refine(H.cols)
+        for _ in range(H.cols):
+            x, a = oracle.refine()
         assert np.linalg.norm(x - solution) <= 1e-10 * (1 + np.linalg.norm(solution))
 
     def test_witness_exact_after_every_step(self):
@@ -137,7 +138,7 @@ class TestLsqResolventOracle:
         oracle = LsqResolvent(H, f, tau)
         oracle.set_target(rhs)
         for _ in range(8):
-            x, a = oracle.refine(1)
+            x, a = oracle.refine()
             truth = Hm.T @ (Hm @ x - f)
             scale = 1 + np.linalg.norm(truth)
             assert np.linalg.norm(a - truth) <= 1e-13 * scale
@@ -149,7 +150,7 @@ class TestLsqResolventOracle:
         oracle.set_target(rhs)
         prev = None
         for _ in range(H.cols):
-            x, _ = oracle.refine(1)
+            x, _ = oracle.refine()
             e = x - solution
             energy = float(e @ (A @ e))
             if prev is not None and prev > 1e-24:
@@ -162,7 +163,7 @@ class TestLsqResolventOracle:
         oracle = LsqResolvent(H, f, tau)
         oracle.set_target(rhs)            # witness recompute: 2
         assert H.total_count - before == 2
-        oracle.refine(1)                  # CG matvec 2 + witness recompute 2
+        oracle.refine()                   # CG matvec 2 + witness recompute 2
         assert H.total_count - before == 6
 
     def test_refine_before_target_raises(self):
