@@ -99,9 +99,13 @@ class ExperimentConfig:
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:
             raise ValueError(f"methods named more than once: {repeated}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("seed", "iters", "ref_factor", "lam", "lam1", "lam2"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
         if self.inner_cap < 1:
             raise ValueError(f"inner_cap must be >= 1, got {self.inner_cap}")

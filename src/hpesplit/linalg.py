@@ -116,6 +116,39 @@ class StoppingRule:
         return cls(tol=tol, cap=cap)
 
 
+def cg_steps(apply, x, r, residual=None):
+    """Conjugate gradients from ``x`` with residual ``r = b - A x``; each ``next()``
+    takes one step and yields ``(x, ||r||^2)``. The residual is updated by
+    recurrence, or recomputed as ``residual(x)`` when given (residual replacement,
+    which `LsqResolvent` uses to keep its witness exact). Ends once the residual
+    is exactly zero or the curvature is not positive.
+    """
+    rs = float(r @ r)
+    if not np.isfinite(rs):
+        raise NumericalError("non-finite residual at CG start")
+    p = r
+    k = 0
+    while rs != 0.0:
+        ap = apply(p)
+        pap = float(p @ ap)
+        if not np.isfinite(pap):
+            raise NumericalError(f"non-finite curvature at CG step {k}")
+        if pap <= 0.0:
+            # PSD operator with b in range: zero curvature means convergence
+            # in exact arithmetic; stop rather than divide by ~0.
+            return
+        alpha = rs / pap
+        x = x + alpha * p
+        r = r - alpha * ap if residual is None else residual(x)
+        rs_new = float(r @ r)
+        if not np.isfinite(rs_new):
+            raise NumericalError(f"non-finite residual at CG step {k}")
+        k += 1
+        yield x, rs_new
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+
+
 def cg_solve(apply, b, x0=None, *, stop):
     """Conjugate gradients for a symmetric positive semidefinite system.
 
@@ -148,38 +181,13 @@ def cg_solve(apply, b, x0=None, *, stop):
     r = b - apply(x)
     if r.shape != b.shape:
         raise ValueError("apply(x) shape does not match b")
-    rs = float(r @ r)
-    if not np.isfinite(rs):
-        raise NumericalError("non-finite residual at CG start")
-    if threshold is not None and np.sqrt(rs) <= threshold:
-        return x, 0
-
-    p = r.copy()
     k = 0
-    while True:
-        if stop.cap is not None and k >= stop.cap:
-            break
-        if rs == 0.0:
-            break
-        ap = apply(p)
-        pap = float(p @ ap)
-        if not np.isfinite(pap):
-            raise NumericalError(f"non-finite curvature at CG step {k}")
-        if pap <= 0.0:
-            # PSD operator with b in range: zero curvature means convergence
-            # in exact arithmetic; stop rather than divide by ~0.
-            break
-        alpha = rs / pap
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = float(r @ r)
-        if not np.isfinite(rs_new):
-            raise NumericalError(f"non-finite residual at CG step {k}")
+    if threshold is not None and np.sqrt(float(r @ r)) <= threshold:
+        return x, k
+    for x, rs in cg_steps(apply, x, r):
         k += 1
-        if threshold is not None and np.sqrt(rs_new) <= threshold:
-            return x, k
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        if k == stop.cap or (threshold is not None and np.sqrt(rs) <= threshold):
+            break
     return x, k
 
 

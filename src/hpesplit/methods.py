@@ -37,7 +37,7 @@ class CpParams:
     kappa: Optional[float] = None
 
     def __post_init__(self):
-        if self.tau <= 0 or self.theta <= 0:
+        if not (self.tau > 0 and self.theta > 0):
             raise ValueError(f"stepsizes must be positive, got tau={self.tau}, theta={self.theta}")
         if not 0 <= self.sigma < 1:
             raise ValueError(f"sigma must be in [0, 1), got {self.sigma}")
@@ -45,7 +45,7 @@ class CpParams:
     @classmethod
     def from_kappa(cls, kappa, sigma=0.0):
         """tau = 1/(2 kappa), theta = kappa/2: valid whenever ||K|| <= 2."""
-        if kappa <= 0:
+        if not kappa > 0:
             raise ValueError(f"kappa must be positive, got {kappa}")
         return cls(tau=1.0 / (2.0 * kappa), theta=kappa / 2.0, sigma=sigma, kappa=kappa)
 
@@ -64,7 +64,7 @@ class DyParams:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
         # beta = 0 means no forward term: gamma is unconstrained and alpha = 0
         gamma_max = 2.0 / self.beta if self.beta > 0 else np.inf

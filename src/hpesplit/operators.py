@@ -8,7 +8,7 @@ soon as a relative-error check passes.
 
 import numpy as np
 
-from .linalg import NumericalError
+from .linalg import cg_steps
 
 
 def soft_threshold(x, eta):
@@ -46,11 +46,13 @@ def huber_gradient(y, delta):
 class LsqResolvent:
     """Refinable inexact resolvent of the least-squares operator x -> Ht(H x - f).
 
-    For a target equation (I + tau HtH) x = rhs + tau Ht f this object runs CG
-    one step at a time. After every step the witness a = Ht(H x - f) is
-    recomputed from scratch, so the pair (candidate, witness) always satisfies
-    the operator inclusion exactly, and the CG residual is rebuilt from the
-    recomputed witness via rhs - x - tau a (the two agree up to rounding).
+    For a target equation (I + tau HtH) x = rhs + tau Ht f this object steps
+    `linalg.cg_steps` one iteration at a time. After every step the witness
+    a = Ht(H x - f) is recomputed from scratch, so the pair (candidate, witness)
+    always satisfies the operator inclusion exactly, and the CG residual is
+    replaced by rhs - x - tau a, computed from that witness. The replaced
+    residual only steers CG and the stall test; it is not the certificate,
+    which each method computes from the exact (candidate, witness) pair.
 
     The candidate carries over between targets, which is the warm start used by
     the outer splitting loops.
@@ -65,9 +67,7 @@ class LsqResolvent:
         self._x = np.zeros(H.cols) if x0 is None else np.array(x0, dtype=float)
         self._a = None
         self._rhs = None
-        self._res = None
-        self._p = None
-        self._rs = 0.0
+        self._steps = None
 
     @property
     def candidate(self):
@@ -75,8 +75,8 @@ class LsqResolvent:
 
     @property
     def residual_norm(self):
-        """||tau a + x - rhs||, the quantity the outer relative-error check consumes."""
-        return float(np.linalg.norm(self._res))
+        """||tau a + x - rhs||, the norm of the replaced CG residual."""
+        return float(np.sqrt(self._rs))
 
     @property
     def stalled(self):
@@ -84,41 +84,28 @@ class LsqResolvent:
         scale = 1.0 + np.linalg.norm(self._rhs) + np.linalg.norm(self._x)
         return np.sqrt(self._rs) <= 1e-15 * scale
 
-    def _recompute_witness(self):
-        self._a = self.H.apply_adjoint(self.H.apply(self._x) - self.f)
+    def _apply(self, p):
+        return p + self.tau * self.H.apply_adjoint(self.H.apply(p))
+
+    def _residual(self, x):
+        """rhs - x - tau a, after recomputing the witness a at x."""
+        self._a = self.H.apply_adjoint(self.H.apply(x) - self.f)
+        return self._rhs - x - self.tau * self._a
 
     def set_target(self, rhs, warm_start=None):
         """Point the oracle at a new resolvent argument, keeping the previous candidate."""
         self._rhs = np.asarray(rhs, dtype=float)
         if warm_start is not None:
             self._x = np.array(warm_start, dtype=float)
-        self._recompute_witness()
-        self._res = self._rhs - self._x - self.tau * self._a
-        self._p = self._res.copy()
-        self._rs = float(self._res @ self._res)
+        res = self._residual(self._x)
+        self._rs = float(res @ res)
+        self._steps = cg_steps(self._apply, self._x, res, residual=self._residual)
         return self._x, self._a
 
     def refine(self):
         """Advance CG by one iteration; returns the updated (candidate, witness)."""
-        # not linalg.cg_solve: the residual is rebuilt from the exact witness
-        # after every step (that is the certificate), where cg_solve updates it
-        # by recurrence, so a shared step would branch on its caller
-        if self._rhs is None:
+        if self._steps is None:
             raise RuntimeError("set_target must be called before refine")
-        if self.stalled:
-            return self._x, self._a
-        ap = self._p + self.tau * self.H.apply_adjoint(self.H.apply(self._p))
-        pap = float(self._p @ ap)
-        if not np.isfinite(pap):
-            raise NumericalError("non-finite curvature in resolvent refinement")
-        if pap <= 0.0:
-            return self._x, self._a
-        alpha = self._rs / pap
-        self._x = self._x + alpha * self._p
-        self._recompute_witness()
-        self._res = self._rhs - self._x - self.tau * self._a
-        rs_new = float(self._res @ self._res)
-        self._p = self._res + (rs_new / self._rs) * self._p
-        self._rs = rs_new
+        if not self.stalled:
+            self._x, self._rs = next(self._steps, (self._x, self._rs))
         return self._x, self._a
-

@@ -396,9 +396,16 @@ class TestMainCli:
         ("cp1-run2", "ref_factor = 1.5", "{cfg}:9: ref_factor must be int, got '1.5'"),
         ("cp1-run2", "methods = hpe-cp, hpe-cp", "methods named more than once: ['hpe-cp']"),
         ("cp1-run2", "--out {tmp}/file/out", "[Errno 20] Not a directory"),
+        ("cp1-run2", "--kappa nan", "kappa must be finite, got nan"),
+        ("cp1-run2", "lam = nan", "lam must be finite, got nan"),
+        ("cp1-run2", "lam = inf", "lam must be finite, got inf"),
+        ("dy-run1", "lam1 = nan", "lam1 must be finite, got nan"),
+        ("dy-run1", "lam1 = inf", "lam1 must be finite, got inf"),
+        ("dy-run1", "lam2 = nan", "lam2 must be finite, got nan"),
     ], ids=["sigma", "kappa", "gamma", "m", "seed", "kappa-on-dy", "gamma-on-cp",
             "ref_factor", "spectrum_kind", "lam", "lam1", "lam2", "sigma-not-a-number",
-            "ref_factor-not-an-integer", "repeated-method", "out-below-a-file"])
+            "ref_factor-not-an-integer", "repeated-method", "out-below-a-file",
+            "kappa-nan", "lam-nan", "lam-inf", "lam1-nan", "lam1-inf", "lam2-nan"])
     def test_bad_parameter_fails_before_any_work(self, tmp_path, capsys, name, setting,
                                                  message):
         # a regular file that an output directory cannot be made below

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from hpesplit.linalg import (
     NumericalError,
     StoppingRule,
     cg_solve,
+    cg_steps,
     estimate_spectral_norm,
 )
 
@@ -156,6 +159,34 @@ class TestCgSolve:
         b = rng.standard_normal(40)
         _, k = cg_solve(lambda v: A @ v, b, stop=StoppingRule(tol=1e-16, cap=5))
         assert k == 5
+
+
+class TestCgSteps:
+    def test_zero_residual_yields_nothing(self):
+        assert list(cg_steps(lambda v: v, np.ones(4), np.zeros(4))) == []
+
+    def test_nonfinite_start_raises(self):
+        r = np.array([1.0, np.nan, 0.0])
+        with pytest.raises(NumericalError, match="at CG start"):
+            next(cg_steps(lambda v: v, np.zeros(3), r))
+
+    def test_nonfinite_curvature_raises(self):
+        with pytest.raises(NumericalError, match="curvature at CG step 0"):
+            next(cg_steps(lambda v: v * np.inf, np.zeros(3), np.ones(3)))
+
+    def test_replaced_residual_matches_recurrence(self):
+        rng = np.random.default_rng(5)
+        G = rng.standard_normal((20, 20))
+        A = G @ G.T + 20 * np.eye(20)
+        b = rng.standard_normal(20)
+        x0 = np.zeros(20)
+        recurrence = islice(cg_steps(lambda v: A @ v, x0, b - A @ x0), 10)
+        replaced = islice(cg_steps(lambda v: A @ v, x0, b - A @ x0,
+                                   residual=lambda x: b - A @ x), 10)
+        pairs = list(zip(recurrence, replaced))
+        assert len(pairs) == 10
+        for (x_rec, _), (x_rep, _) in pairs:
+            assert np.linalg.norm(x_rep - x_rec) <= 1e-10 * np.linalg.norm(x_rec)
 
 
 class TestSpectralNorm:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hpesplit.linalg import LinearMap
+from hpesplit.linalg import LinearMap, StoppingRule, cg_solve
 from hpesplit.operators import LsqResolvent, clip, huber_gradient, huber_value, soft_threshold
 
 
@@ -165,6 +165,18 @@ class TestLsqResolventOracle:
         assert H.total_count - before == 2
         oracle.refine()                   # CG matvec 2 + witness recompute 2
         assert H.total_count - before == 6
+
+    def test_refine_steps_the_cg_of_cg_solve(self):
+        H, Hm, f, rhs, tau, _ = self.setup_problem()
+        x0 = np.zeros(H.cols)
+        for k in range(1, 9):
+            oracle = LsqResolvent(H, f, tau)
+            oracle.set_target(rhs)
+            for _ in range(k):
+                x, _ = oracle.refine()
+            expected, _ = cg_solve(lambda v: v + tau * Hm.T @ (Hm @ v), rhs + tau * Hm.T @ f,
+                                   x0, stop=StoppingRule(cap=k))
+            assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_refine_before_target_raises(self):
         H, _, f, _, tau, _ = self.setup_problem()
