@@ -1,5 +1,6 @@
-"""Dense linear algebra: counted linear maps, conjugate gradients, norm estimation."""
+"""Linear algebra: counted linear maps, conjugate gradients, norm estimation."""
 
+import copy
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -12,13 +13,16 @@ class NumericalError(RuntimeError):
 
 
 class LinearMap:
-    """Dense linear operator with forward/adjoint application counters.
+    """Linear operator with forward/adjoint application counters; the dense map.
 
-    The matrix is frozen at construction; only the counters mutate. Counters
-    measure algorithmic work (exactly one increment per application), which is
-    the cost metric the benchmark harness compares. Instrumentation such as
-    objective evaluation should go through the ``*_uncounted`` variants so it
-    does not distort that comparison.
+    This class is the one operator protocol. It owns the shape, the length
+    checks and the counters, and applies the map through two hooks, `_forward`
+    and `_adjoint`; a structured map such as `FirstDifference` overrides the
+    hooks and `as_matrix`. The dense map's matrix is frozen at construction;
+    only the counters mutate. Counters measure algorithmic work (exactly one
+    increment per application), which is the cost metric the benchmark harness
+    compares. Instrumentation such as objective evaluation should go through
+    the ``*_uncounted`` variants so it does not distort that comparison.
     """
 
     def __init__(self, matrix, name=""):
@@ -27,6 +31,11 @@ class LinearMap:
             raise ValueError(f"LinearMap needs a 2-d matrix, got shape {mat.shape}")
         mat.setflags(write=False)
         self._mat = mat
+        self._init(mat.shape, name)
+
+    def _init(self, shape, name):
+        """The state every map has: its shape, its name and zeroed counters."""
+        self.shape = shape
         self.name = name
         self.forward_count = 0
         self.adjoint_count = 0
@@ -41,15 +50,11 @@ class LinearMap:
 
     @property
     def rows(self):
-        return self._mat.shape[0]
+        return self.shape[0]
 
     @property
     def cols(self):
-        return self._mat.shape[1]
-
-    @property
-    def shape(self):
-        return self._mat.shape
+        return self.shape[1]
 
     @property
     def total_count(self):
@@ -60,13 +65,17 @@ class LinearMap:
         return self._mat
 
     def fresh(self):
-        """New map sharing the same matrix with zeroed counters."""
-        clone = LinearMap.__new__(LinearMap)
-        clone._mat = self._mat
-        clone.name = self.name
+        """Same map (sharing any stored matrix) with zeroed counters."""
+        clone = copy.copy(self)
         clone.forward_count = 0
         clone.adjoint_count = 0
         return clone
+
+    def _forward(self, x):
+        return self._mat @ x
+
+    def _adjoint(self, y):
+        return self._mat.T @ y
 
     def _check_dim(self, x, expected, kind):
         x = np.asarray(x, dtype=float)
@@ -78,18 +87,51 @@ class LinearMap:
     def apply(self, x):
         x = self._check_dim(x, self.cols, "forward")
         self.forward_count += 1
-        return self._mat @ x
+        return self._forward(x)
 
     def apply_adjoint(self, y):
         y = self._check_dim(y, self.rows, "adjoint")
         self.adjoint_count += 1
-        return self._mat.T @ y
+        return self._adjoint(y)
 
     def apply_uncounted(self, x):
-        return self._mat @ self._check_dim(x, self.cols, "forward")
+        return self._forward(self._check_dim(x, self.cols, "forward"))
 
     def apply_adjoint_uncounted(self, y):
-        return self._mat.T @ self._check_dim(y, self.rows, "adjoint")
+        return self._adjoint(self._check_dim(y, self.rows, "adjoint"))
+
+
+class FirstDifference(LinearMap):
+    """The (n-1) x n first difference (D x)_i = x_{i+1} - x_i, applied without a matrix.
+
+    Each product touches O(n) entries instead of a dense matrix's n^2 and
+    matches the dense product: every entry is one subtraction of two inputs,
+    to which the dense sum adds only exact zeros.
+    """
+
+    def __init__(self, n):
+        if n < 2:
+            raise ValueError(f"need n >= 2, got {n}")
+        self._init((n - 1, n), "D-firstdiff")
+
+    def as_matrix(self):
+        """The dense matrix, built on each call and read-only like a dense map's."""
+        mat = np.zeros(self.shape)
+        idx = np.arange(self.rows)
+        mat[idx, idx] = -1.0
+        mat[idx, idx + 1] = 1.0
+        mat.setflags(write=False)
+        return mat
+
+    def _forward(self, x):
+        return x[1:] - x[:-1]
+
+    def _adjoint(self, y):
+        out = np.empty(self.cols)
+        out[0] = -y[0]
+        out[1:-1] = y[:-1] - y[1:]
+        out[-1] = y[-1]
+        return out
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,10 @@ class LsqResolvent:
     `linalg.cg_steps` one iteration at a time. After every step the witness
     a = Ht(H x - f) is recomputed from scratch, so the pair (candidate, witness)
     always satisfies the operator inclusion exactly, and the CG residual is
-    replaced by rhs - x - tau a, computed from that witness. The replaced
-    residual only steers CG and the stall test; it is not the certificate,
-    which each method computes from the exact (candidate, witness) pair.
+    replaced by rhs - x - tau a, computed from that witness. A new target
+    reuses the witness of the unmoved candidate. The replaced residual only
+    steers CG and the stall test; it is not the certificate, which each
+    method computes from the exact (candidate, witness) pair.
 
     The candidate carries over between targets, which is the warm start used by
     the outer splitting loops.
@@ -88,16 +89,25 @@ class LsqResolvent:
         return p + self.tau * self.H.apply_adjoint(self.H.apply(p))
 
     def _residual(self, x):
-        """rhs - x - tau a, after recomputing the witness a at x."""
+        """rhs - x - tau a, after moving the candidate to x and recomputing its witness a."""
+        self._x = x
         self._a = self.H.apply_adjoint(self.H.apply(x) - self.f)
         return self._rhs - x - self.tau * self._a
 
     def set_target(self, rhs, warm_start=None):
-        """Point the oracle at a new resolvent argument, keeping the previous candidate."""
+        """Point the oracle at a new resolvent argument, keeping the previous candidate.
+
+        The witness is recomputed only for a warm start or when none exists yet:
+        `_residual` is the one place that moves the candidate, and it recomputes
+        the witness there, so a cached witness is exact at the candidate.
+        """
         self._rhs = np.asarray(rhs, dtype=float)
         if warm_start is not None:
-            self._x = np.array(warm_start, dtype=float)
-        res = self._residual(self._x)
+            res = self._residual(np.array(warm_start, dtype=float))
+        elif self._a is None:
+            res = self._residual(self._x)
+        else:
+            res = self._rhs - self._x - self.tau * self._a
         self._rs = float(res @ res)
         self._steps = cg_steps(self._apply, self._x, res, residual=self._residual)
         return self._x, self._a
@@ -107,5 +117,5 @@ class LsqResolvent:
         if self._steps is None:
             raise RuntimeError("set_target must be called before refine")
         if not self.stalled:
-            self._x, self._rs = next(self._steps, (self._x, self._rs))
+            _, self._rs = next(self._steps, (self._x, self._rs))  # x moves in `_residual`
         return self._x, self._a

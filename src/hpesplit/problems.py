@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import LinearMap
+from .linalg import FirstDifference, LinearMap
 from .operators import huber_value
 
 SPECTRUM_KINDS = ("cosine", "power5")
@@ -58,13 +58,7 @@ def gen_illcond_matrix(m, n, kind="cosine", seed=0):
 
 def gen_diff_matrix(n):
     """(n-1) x n first-difference map; annihilates constants and has norm < 2."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    D = np.zeros((n - 1, n))
-    idx = np.arange(n - 1)
-    D[idx, idx] = -1.0
-    D[idx, idx + 1] = 1.0
-    return LinearMap(D, name="D-firstdiff")
+    return FirstDifference(n)
 
 
 def gen_signal_and_data(H, seed, jumps=10, sparsity=0.5, noise_std=None):

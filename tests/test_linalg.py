@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hpesplit.linalg import (
+    FirstDifference,
     LinearMap,
     NumericalError,
     StoppingRule,
@@ -41,18 +42,19 @@ class TestLinearMap:
             assert abs(lhs - rhs) <= 1e-12 * (np.linalg.norm(ax) * np.linalg.norm(y) + 1)
 
     def test_counter_exactness(self):
-        A = LinearMap.identity(4)
-        x = np.ones(4)
-        for k in range(1, 6):
-            A.apply(x)
-            assert A.forward_count == k
-        for k in range(1, 4):
-            A.apply_adjoint(x)
-            assert A.adjoint_count == k
-        assert A.total_count == 8
-        A.apply_uncounted(x)
-        A.apply_adjoint_uncounted(x)
-        assert A.total_count == 8
+        # the structured map counts through the same base-class path
+        for A in (LinearMap.identity(4), FirstDifference(5)):
+            x, y = np.ones(A.cols), np.ones(A.rows)
+            for k in range(1, 6):
+                A.apply(x)
+                assert (A.forward_count, A.adjoint_count) == (k, 0)
+            for k in range(1, 4):
+                A.apply_adjoint(y)
+                assert (A.forward_count, A.adjoint_count) == (5, k)
+            assert A.total_count == 8
+            A.apply_uncounted(x)
+            A.apply_adjoint_uncounted(y)
+            assert A.total_count == 8
 
     def test_fresh_shares_matrix_zero_counters(self):
         A = LinearMap([[2.0]])
@@ -72,6 +74,60 @@ class TestLinearMap:
         A = LinearMap.identity(2)
         with pytest.raises(ValueError):
             A.as_matrix()[0, 0] = 5.0
+
+
+class TestFirstDifference:
+    @pytest.mark.parametrize("n", [2, 3, 200, 2000])
+    def test_products_equal_the_dense_map(self, n):
+        # at n = 2 the adjoint has no interior entries
+        D = FirstDifference(n)
+        dense = LinearMap(D.as_matrix())
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            x = rng.standard_normal(n)
+            y = rng.standard_normal(n - 1)
+            assert np.array_equal(D.apply(x), dense.apply(x))
+            assert np.array_equal(D.apply_adjoint(y), dense.apply_adjoint(y))
+            assert np.array_equal(D.apply_uncounted(x), dense.apply_uncounted(x))
+            assert np.array_equal(D.apply_adjoint_uncounted(y), dense.apply_adjoint_uncounted(y))
+
+    def test_fresh_zeroes_counters_and_keeps_type(self):
+        D = FirstDifference(6)
+        D.apply(np.ones(6))
+        D.apply_adjoint(np.ones(5))
+        E = D.fresh()
+        assert type(E) is FirstDifference
+        assert (E.forward_count, E.adjoint_count) == (0, 0)
+        assert (D.forward_count, D.adjoint_count) == (1, 1)
+        assert (E.shape, E.name) == (D.shape, D.name)
+        E.apply(np.ones(6))
+        assert (E.forward_count, D.forward_count) == (1, 1)
+
+    def test_matrix_matches_dense_construction_and_is_frozen(self):
+        D = FirstDifference(7)
+        assert D.shape == (6, 7) and (D.rows, D.cols) == (6, 7)
+        np.testing.assert_array_equal(D.as_matrix(), first_difference_matrix(7))
+        with pytest.raises(ValueError):
+            D.as_matrix()[0, 0] = 5.0
+
+    def test_dimension_mismatch_reads_like_the_dense_map(self):
+        D = FirstDifference(4)
+        dense = LinearMap(first_difference_matrix(4))
+        for apply, v in ((lambda m, v: m.apply(v), np.ones(3)),
+                         (lambda m, v: m.apply_adjoint(v), np.ones(4)),
+                         (lambda m, v: m.apply_uncounted(v), np.ones(5)),
+                         (lambda m, v: m.apply_adjoint_uncounted(v), np.ones(2))):
+            with pytest.raises(ValueError) as structured:
+                apply(D, v)
+            with pytest.raises(ValueError) as reference:
+                apply(dense, v)
+            assert str(structured.value) == str(reference.value)
+        assert D.total_count == 0
+
+    @pytest.mark.parametrize("n", [3, 50, 200])
+    def test_norm_estimate_equals_the_dense_one(self, n):
+        assert (estimate_spectral_norm(FirstDifference(n))
+                == estimate_spectral_norm(LinearMap(first_difference_matrix(n))))
 
 
 class TestStoppingRule:

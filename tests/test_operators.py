@@ -166,6 +166,51 @@ class TestLsqResolventOracle:
         oracle.refine()                   # CG matvec 2 + witness recompute 2
         assert H.total_count - before == 6
 
+    def test_unmoved_candidate_reuses_its_witness(self):
+        H, Hm, f, rhs, tau, _ = self.setup_problem()
+        rng = np.random.default_rng(5)
+        oracle = LsqResolvent(H, f, tau)
+        oracle.set_target(rhs)
+        for _ in range(3):
+            oracle.refine()
+            before = H.total_count
+            x, a = oracle.set_target(rng.standard_normal(H.cols))
+            assert H.total_count == before
+            truth = Hm.T @ (Hm @ x - f)
+            assert np.linalg.norm(a - truth) <= 1e-13 * np.linalg.norm(truth)
+
+    def test_warm_start_recomputes_the_witness(self):
+        H, Hm, f, rhs, tau, _ = self.setup_problem()
+        x0 = np.random.default_rng(6).standard_normal(H.cols)
+        oracle = LsqResolvent(H, f, tau)
+        oracle.set_target(rhs)
+        oracle.refine()
+        before = H.total_count
+        x, a = oracle.set_target(rhs, warm_start=x0)
+        assert H.total_count - before == 2
+        np.testing.assert_array_equal(x, x0)
+        truth = Hm.T @ (Hm @ x0 - f)
+        assert np.linalg.norm(a - truth) <= 1e-13 * np.linalg.norm(truth)
+
+    def test_cached_witness_steers_cg_like_a_recomputed_one(self):
+        # a fresh oracle warm-started at the same candidate recomputes the
+        # witness; both must then take bit-identical CG steps
+        H, _, f, rhs, tau, _ = self.setup_problem()
+        rhs2 = np.random.default_rng(7).standard_normal(H.cols)
+        cached = LsqResolvent(H, f, tau)
+        cached.set_target(rhs)
+        for _ in range(3):
+            cached.refine()
+        recomputed = LsqResolvent(H, f, tau)
+        recomputed.set_target(rhs2, warm_start=cached.candidate)
+        cached.set_target(rhs2)
+        assert cached.residual_norm == recomputed.residual_norm
+        for _ in range(4):
+            x, a = cached.refine()
+            y, b = recomputed.refine()
+            np.testing.assert_array_equal(x, y)
+            np.testing.assert_array_equal(a, b)
+
     def test_refine_steps_the_cg_of_cg_solve(self):
         H, Hm, f, rhs, tau, _ = self.setup_problem()
         x0 = np.zeros(H.cols)
