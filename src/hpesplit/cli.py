@@ -1,9 +1,11 @@
 """Experiment harness and command line: named desk-scale runs, CSV traces, audits.
 
 `run_experiment` generates a seeded instance, computes a reference objective
-from a longer run of the implicit baseline, runs every requested method on
-fresh operator counters, writes one CSV per method plus a JSON summary and
-the manifest (the config itself), and audits the certified methods' traces.
+from a longer run of the implicit baseline (its resolvent in closed form from
+the generator's Gram factor, checked by CG) and a dual lower bound, runs
+every requested method on fresh operator counters, writes one CSV per method
+plus a JSON summary and the manifest (the config itself), and audits the
+certified methods' traces.
 
 Trace CSVs are deterministic for a fixed seed: the wall-time column is written
 as zero unless wall times are explicitly requested (they land in the summary
@@ -308,16 +310,31 @@ def run_method(name, cfg, inst, norms):
     raise ValueError(f"unknown method {name!r}")
 
 
-def _reference_objective(cfg, inst, norms):
-    """Longer run of the implicit baseline; its best value anchors the gaps."""
-    ref_method = "implicit-cp" if cfg.family == "cp" else "implicit-dy"
-    # always a new object, so a caller wrapping run_method can tell the reference
-    # run from the requested methods, which get cfg itself
-    ref_cfg = replace(cfg, iters=cfg.iters * cfg.ref_factor)
-    result = run_method(ref_method, ref_cfg, inst, norms)
-    if not len(result.trace):
-        return ref_method, 0, inst.objective(np.zeros(inst.n))
-    return ref_method, ref_cfg.iters, min(result.trace.objective)
+def _reference_run(cfg, inst):
+    """The implicit baseline, ``ref_factor`` times longer, with every inner CG
+    started at the closed-form resolvent from the generator's Gram factor.
+
+    CG still checks that start against its 1e-8 tolerance, and the stepsizes
+    are the experiment's. Returns the method's name, its iterations, its
+    lowest objective and the dual lower bound at its last iterate; the run's
+    trace is not kept.
+    """
+    fresh = inst.fresh()
+    p = cfg.step_params()
+    iters = cfg.iters * cfg.ref_factor
+    x0 = np.zeros(fresh.n)
+    if cfg.family == "cp":
+        method = "implicit-cp"
+        result = implicit_cp_run(fresh.H, fresh.f, fresh.D, cfg.lam, p, x0,
+                                 np.zeros(fresh.D.rows), iters, objective=fresh.objective,
+                                 cg_start=fresh.gram.resolvent(p.tau))
+    else:
+        method = "implicit-dy"
+        result = implicit_dy_run(fresh.H, fresh.f, fresh.D, cfg.lam1, cfg.lam2, HUBER_DELTA,
+                                 x0, iters, gamma=p.gamma, objective=fresh.objective,
+                                 cg_start=fresh.gram.resolvent(p.gamma))
+    best = min(result.trace.objective or [inst.objective(result.final_x)])
+    return method, iters, best, inst.lower_bound(result.final_x)
 
 
 @dataclass
@@ -341,24 +358,33 @@ def run_experiment(cfg):
     out_dir = out_root / cfg.experiment
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # wall time per phase; like wall_s, outside the reproducibility contract
+    t = time.perf_counter()
     if cfg.family == "cp":
         inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
     else:
         inst = make_dy_instance(cfg.m, cfg.n, cfg.seed, cfg.lam1, cfg.lam2, HUBER_DELTA,
                                 kind=cfg.spectrum_kind)
+    phases = {"generate_s": time.perf_counter() - t}
+    t = time.perf_counter()
     norms = {"H": estimate_spectral_norm(inst.H), "D": estimate_spectral_norm(inst.D)}
+    phases["norms_s"] = time.perf_counter() - t
 
-    ref_method, ref_iters, ref_obj = _reference_objective(cfg, inst, norms)
+    t = time.perf_counter()
+    ref_method, ref_iters, ref_best, lower_bound = _reference_run(cfg, inst)
+    phases["reference_s"] = time.perf_counter() - t
 
     summary = {
         "manifest": cfg.manifest(),
         "norms": norms,
-        "reference": {"method": ref_method, "iterations": ref_iters},
+        "reference": {"method": ref_method, "iterations": ref_iters,
+                      "lower_bound": lower_bound},
         "methods": {},
+        "phases": phases,
     }
     result = ExperimentResult(config=cfg, out_dir=out_dir, summary=summary)
 
-    candidates = [ref_obj]
+    candidates = [ref_best]
     runs = {}
     for name in cfg.methods:
         t0 = time.perf_counter()
@@ -375,8 +401,10 @@ def run_experiment(cfg):
         if len(mres.trace):
             candidates.append(min(mres.trace.objective))
 
+    t = time.perf_counter()
     reference = min(candidates)
     summary["reference"]["objective"] = reference
+    summary["reference"]["certified_gap"] = reference - lower_bound
 
     for name, (mres, entry) in runs.items():
         trace = mres.trace
@@ -400,6 +428,7 @@ def run_experiment(cfg):
             entry["audit_failures"] = report.failures[:10]
         summary["methods"][name] = entry
 
+    phases["output_s"] = time.perf_counter() - t
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     with open(out_dir / "manifest.json", "w") as fh:

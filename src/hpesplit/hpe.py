@@ -14,11 +14,14 @@ every runner shares, and `audit_invariants` checks a finished trace against the
 estimates the acceptance test implies.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional
 
 import numpy as np
+
+from .linalg import NumericalError
 
 
 class CertificationError(RuntimeError):
@@ -122,7 +125,9 @@ def iterate(step, state, iters, objective=None, h_counter=None, record=None,
     iters : int
         Number of outer iterations.
     objective : callable, optional
-        ``objective(x) -> float`` recorded per iteration (NaN when absent).
+        ``objective(x) -> float`` recorded per iteration (NaN when absent). A
+        value that is not finite raises `NumericalError` naming the method
+        and the iteration.
     h_counter : callable, optional
         Returns the cumulative count of the dominant operator applications.
     record : callable, optional
@@ -142,7 +147,11 @@ def iterate(step, state, iters, objective=None, h_counter=None, record=None,
     for k in range(iters):
         t0 = time.perf_counter()
         state, rec = step(k, state)
-        obj = float(objective(state[0])) if objective is not None else float("nan")
+        obj = float("nan")
+        if objective is not None:
+            obj = float(objective(state[0]))
+            if not math.isfinite(obj):
+                raise NumericalError(f"{method}: objective {obj} at iteration {k}")
         trace.append(k, obj, rec.lhs, rec.rhs, rec.inner, count(), rec.residual,
                      wall_ms=(time.perf_counter() - t0) * 1e3, accept_tol=rec.accept_tol)
         if record is not None:

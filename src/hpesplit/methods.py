@@ -271,11 +271,14 @@ def _lsq_cg_step(H, tau, b, x_warm, cg_tol):
 
 
 def implicit_cp_run(H, f, D, lam, p, x0, y0, iters, cg_tol=1e-8,
-                    record_invariants=False, objective=None):
+                    record_invariants=False, objective=None, cg_start=None):
     """Primal-dual iteration with the primal resolvent solved to a fixed CG tolerance.
 
         x <- (I + tau HtH)^{-1} (x - tau*(Dt y - Ht f))      [CG, warm start x]
         y <- clip(y + theta*D(2 x_new - x), lam)
+
+    ``cg_start(b)``, when given, is where CG starts for right-hand side b in
+    place of x; CG still checks it against ``cg_tol``.
     """
     tau, theta = p.tau, p.theta
     f = np.asarray(f, dtype=float)
@@ -285,7 +288,7 @@ def implicit_cp_run(H, f, D, lam, p, x0, y0, iters, cg_tol=1e-8,
     def step(k, state):
         x, y = state
         b = x - tau * (D.apply_adjoint(y) - htf)
-        x_next, it = _lsq_cg_step(H, tau, b, x, cg_tol)
+        x_next, it = _lsq_cg_step(H, tau, b, x if cg_start is None else cg_start(b), cg_tol)
         return (x_next, clip(y + theta * D.apply(2.0 * x_next - x), lam)), StepRecord(inner=it)
 
     trace, (x, y) = iterate(step, (x0, np.array(y0, dtype=float)), iters, objective,
@@ -365,7 +368,7 @@ def _huber_forward(D, lam2, delta, x):
 
 
 def implicit_dy_run(H, f, D, lam1, lam2, delta, w0, iters, gamma=None, cg_tol=1e-8,
-                    record_invariants=False, objective=None):
+                    record_invariants=False, objective=None, cg_start=None):
     """Three-operator splitting with the data resolvent solved to a fixed CG tolerance.
 
         x1 <- (I + gamma HtH)^{-1} (w + gamma Ht f)          [CG, warm start x1]
@@ -373,7 +376,9 @@ def implicit_dy_run(H, f, D, lam1, lam2, delta, w0, iters, gamma=None, cg_tol=1e
         w  <- w + (x2 - x1)/(1 + alpha)
 
     with beta = 4*lam2 (floored when lam2 = 0), gamma = 1/beta by default, and
-    alpha = gamma*beta/(4 - gamma*beta).
+    alpha = gamma*beta/(4 - gamma*beta). ``cg_start(b)``, when given, is where
+    CG starts for right-hand side b in place of x1; CG still checks it against
+    ``cg_tol``.
     """
     # validates gamma in (0, 2/beta)
     params = DyParams.from_beta(max(4.0 * lam2, 1e-12), gamma=gamma)
@@ -384,7 +389,8 @@ def implicit_dy_run(H, f, D, lam1, lam2, delta, w0, iters, gamma=None, cg_tol=1e
 
     def step(k, state):
         _, w, x1 = state
-        x1, it = _lsq_cg_step(H, gamma, w + gamma * htf, x1, cg_tol)
+        b = w + gamma * htf
+        x1, it = _lsq_cg_step(H, gamma, b, x1 if cg_start is None else cg_start(b), cg_tol)
         x2 = soft_threshold(2.0 * x1 - w - gamma * _huber_forward(D, lam2, delta, x1),
                             gamma * lam1)
         return (x2, w + (x2 - x1) / (1.0 + alpha), x1), StepRecord(inner=it)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hpesplit import cli
 from hpesplit.cli import (
     NAMED_EXPERIMENTS,
     ExperimentConfig,
@@ -277,6 +278,70 @@ class TestRunExperiment:
         assert entry["certification_failure"] is not None
         assert result.summary["methods"]["implicit-cp"]["certification_failure"] is None
         assert result.certification_failed
+
+
+class TestReference:
+    @pytest.mark.parametrize("name", sorted(NAMED_EXPERIMENTS))
+    def test_reference_cg_takes_no_steps(self, name, tmp_path, monkeypatch):
+        cfg = named_config(name, iters=10)
+        implicit = "implicit-cp" if cfg.family == "cp" else "implicit-dy"
+        cfg = replace(cfg, methods=(implicit,), out_dir=str(tmp_path))
+        attr = implicit.replace("-", "_") + "_run"
+        runner = getattr(cli, attr)
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append((kwargs.get("cg_start"), runner(*args, **kwargs)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(cli, attr, spy)
+        result = run_experiment(cfg)
+        (ref_start, ref), (requested_start, _) = runs
+        assert ref_start is not None and len(ref.trace) == 100
+        assert max(ref.trace.inner_iterations) == 0
+        # the requested baseline starts CG at its previous iterate, as before
+        assert requested_start is None
+        cols = parse_trace_csv(result.summary["methods"][implicit]["trace"])
+        assert cols["inner_iters"][0] > 0
+
+    @staticmethod
+    def bound_config(family, kind, **overrides):
+        if family == "cp":
+            return small_config(spectrum_kind=kind, m=30, n=40, seed=7, iters=40,
+                                **overrides)
+        return ExperimentConfig(**{
+            **dict(family="dy", m=30, n=40, seed=7, lam1=0.01, lam2=0.1, sigma=0.8,
+                   iters=40, ref_factor=3, spectrum_kind=kind,
+                   methods=("hpe-dy", "implicit-dy", "fb")),
+            **overrides})
+
+    @pytest.mark.parametrize("family", ["cp", "dy"])
+    @pytest.mark.parametrize("kind", ["cosine", "power5"])
+    def test_lower_bound_below_every_row(self, family, kind, tmp_path):
+        cfg = self.bound_config(family, kind, out_dir=str(tmp_path))
+        reference = run_experiment(cfg).summary["reference"]
+        bound, objective = reference["lower_bound"], reference["objective"]
+        assert reference["certified_gap"] == objective - bound
+        assert bound <= objective
+        for name in cfg.methods:
+            cols = parse_trace_csv(tmp_path / cfg.experiment / f"{name}.csv")
+            assert bound <= objective + min(cols["objective_gap"])
+
+    @pytest.mark.parametrize("family", ["cp", "dy"])
+    @pytest.mark.parametrize("kind", ["cosine", "power5"])
+    def test_lower_bound_tight_after_a_long_reference(self, family, kind, tmp_path):
+        cfg = self.bound_config(family, kind, ref_factor=100, methods=(),
+                                out_dir=str(tmp_path))
+        reference = run_experiment(cfg).summary["reference"]
+        # the bound meets the objective to rounding once the reference converged
+        assert abs(reference["certified_gap"]) <= 1e-9
+
+    def test_phases_recorded(self, tmp_path):
+        summary = run_experiment(small_config(out_dir=str(tmp_path))).summary
+        assert set(summary["phases"]) == {"generate_s", "norms_s", "reference_s", "output_s"}
+        assert all(value >= 0.0 for value in summary["phases"].values())
+        on_disk = json.loads((tmp_path / "custom" / "summary.json").read_text())
+        assert on_disk["phases"] == summary["phases"]
 
 
 class TestTraceAudit:

@@ -5,12 +5,13 @@ from hpesplit.hpe import (
     CertificationError,
     HpeConfig,
     RunTrace,
+    StepRecord,
     audit_invariants,
     certify,
     iterate,
     reduced_hpe_run,
 )
-from hpesplit.linalg import LinearMap
+from hpesplit.linalg import LinearMap, NumericalError
 from hpesplit.operators import soft_threshold
 
 
@@ -222,6 +223,17 @@ class TestReducedRun:
         trace = run_reduced(produce, refine, np.zeros(2), HpeConfig(), 0)
         assert len(trace) == 0
         assert len(trace.iterates) == 1
+
+
+class TestIterate:
+    def test_non_finite_objective_names_method_and_iteration(self):
+        def step(k, state):
+            x = state[0] * np.nan if k == 2 else state[0] + 1.0
+            return (x,), StepRecord()
+
+        with pytest.raises(NumericalError, match="nan-step: objective nan at iteration 2"):
+            iterate(step, (np.zeros(3),), 5, objective=lambda x: float(x.sum()),
+                    method="nan-step")
 
 
 class TestFullReducedConsistency:

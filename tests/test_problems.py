@@ -4,6 +4,7 @@ import pytest
 from hpesplit.linalg import estimate_spectral_norm
 from hpesplit.problems import (
     gen_diff_matrix,
+    gen_illcond_factors,
     gen_illcond_matrix,
     gen_signal_and_data,
     haar_orthonormal,
@@ -66,6 +67,38 @@ class TestIllcondMatrix:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             gen_illcond_matrix(1, 5)
+
+
+class TestGramFactor:
+    @pytest.mark.parametrize("m, n, kind", [(20, 20, "cosine"), (50, 200, "power5")])
+    def test_factor_reproduces_gram(self, m, n, kind):
+        H, gram = gen_illcond_factors(m, n, kind=kind, seed=4)
+        k = min(m, n)
+        assert gram.V.shape == (n, k) and gram.V.flags.c_contiguous
+        assert not gram.V.flags.writeable and not gram.s.flags.writeable
+        np.testing.assert_array_equal(H.as_matrix(), gen_illcond_matrix(m, n, kind, 4).as_matrix())
+        np.testing.assert_array_equal(gram.s, spectrum(kind, k))
+        assert np.max(np.abs(gram.V.T @ gram.V - np.eye(k))) <= 1e-12
+        Hm = H.as_matrix()
+        gram_matrix = Hm.T @ Hm
+        rebuilt = (gram.V * gram.s ** 2) @ gram.V.T
+        assert np.linalg.norm(rebuilt - gram_matrix) <= 1e-12 * np.linalg.norm(gram_matrix)
+
+    @pytest.mark.parametrize("m, n, kind", [(20, 20, "cosine"), (50, 200, "power5")])
+    @pytest.mark.parametrize("tau", [0.05, 5.0, 50.0])
+    def test_closed_form_resolvent_solves_the_system(self, m, n, kind, tau):
+        H, gram = gen_illcond_factors(m, n, kind=kind, seed=5)
+        b = np.random.default_rng(6).standard_normal(n)
+        x = gram.resolvent(tau)(b)
+        Hm = H.as_matrix()
+        residual = b - (x + tau * Hm.T @ (Hm @ x))
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
+
+    def test_instances_carry_the_factor(self):
+        inst = make_dy_instance(30, 30, seed=2, lam1=0.01, lam2=0.1, delta=0.01)
+        _, gram = gen_illcond_factors(30, 30, seed=2)
+        np.testing.assert_array_equal(inst.gram.V, gram.V)
+        assert inst.fresh().gram is inst.gram
 
 
 class TestDiffMatrix:
