@@ -1,11 +1,12 @@
 """Experiment harness and command line: named desk-scale runs, CSV traces, audits.
 
 `run_experiment` generates a seeded instance, computes a reference objective
-from a longer run of the implicit baseline (its resolvent in closed form from
-the generator's Gram factor, checked by CG) and a dual lower bound, runs
-every requested method on fresh operator counters, writes one CSV per method
-plus a JSON summary and the manifest (the config itself), and audits the
-certified methods' traces.
+and a dual lower bound from a run of the implicit baseline (its resolvent in
+closed form from the generator's Gram factor, checked by CG) that stops once
+the two are within `REFERENCE_GAP` or after ``ref_factor * iters`` iterations,
+runs every requested method on fresh operator counters, writes one CSV per
+method plus a JSON summary and the manifest (the config itself), and audits
+the certified methods' traces.
 
 Trace CSVs are deterministic for a fixed seed: the wall-time column is written
 as zero unless wall times are explicitly requested (they land in the summary
@@ -18,6 +19,7 @@ with the same `audit_invariants` that audits the run in memory.
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -27,7 +29,7 @@ from typing import Optional, get_args
 import numpy as np
 
 from .hpe import CertificationError, RunTrace, audit_invariants
-from .linalg import estimate_spectral_norm
+from .linalg import NumericalError, estimate_spectral_norm
 from .methods import (
     CpParams,
     DyParams,
@@ -56,6 +58,10 @@ TRACE_COLUMNS = {
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
 # the summary's h_apps_at_gap counts H applications until the gap reaches this
 GAP_THRESHOLD = 1e-6
+# the reference run stops once its best objective is within this of its best
+# dual bound; it checks both every REFERENCE_CHUNK iterations
+REFERENCE_GAP = 1e-10
+REFERENCE_CHUNK = 100
 # Huber width of the DY family's smoothed total-variation term
 HUBER_DELTA = 0.01
 
@@ -311,30 +317,75 @@ def run_method(name, cfg, inst, norms):
 
 
 def _reference_run(cfg, inst):
-    """The implicit baseline, ``ref_factor`` times longer, with every inner CG
-    started at the closed-form resolvent from the generator's Gram factor.
+    """The implicit baseline with every inner CG started at the closed-form
+    resolvent from the generator's Gram factor, stopped on its dual certificate.
 
     CG still checks that start against its 1e-8 tolerance, and the stepsizes
-    are the experiment's. Returns the method's name, its iterations, its
-    lowest objective and the dual lower bound at its last iterate; the run's
+    are the experiment's. The run goes in chunks of `REFERENCE_CHUNK`
+    iterations; each chunk resumes from the last one's state, so the iterates
+    are those of one unchunked run. After each chunk the objective and the
+    dual lower bound are evaluated once, at its last iterate. The run stops as
+    soon as the lowest objective minus the highest bound seen is at most
+    `REFERENCE_GAP` (``stop = "certificate"``), or after ``ref_factor * iters``
+    iterations (``stop = "cap"``); with a cap of 0 both are evaluated at x0.
+    Returns the lowest objective and the summary's reference entry; the run's
     trace is not kept.
     """
     fresh = inst.fresh()
     p = cfg.step_params()
-    iters = cfg.iters * cfg.ref_factor
+    cap = cfg.iters * cfg.ref_factor
     x0 = np.zeros(fresh.n)
+    # advance(state, iters) -> state, where state[0] is the primal iterate
     if cfg.family == "cp":
-        method = "implicit-cp"
-        result = implicit_cp_run(fresh.H, fresh.f, fresh.D, cfg.lam, p, x0,
-                                 np.zeros(fresh.D.rows), iters, objective=fresh.objective,
-                                 cg_start=fresh.gram.resolvent(p.tau))
+        method, start = "implicit-cp", fresh.gram.resolvent(p.tau)
+        state = (x0, np.zeros(fresh.D.rows))
+
+        def advance(state, iters):
+            result = implicit_cp_run(fresh.H, fresh.f, fresh.D, cfg.lam, p, *state, iters,
+                                     cg_start=start)
+            return result.final_x, result.aux["y"]
     else:
-        method = "implicit-dy"
-        result = implicit_dy_run(fresh.H, fresh.f, fresh.D, cfg.lam1, cfg.lam2, HUBER_DELTA,
-                                 x0, iters, gamma=p.gamma, objective=fresh.objective,
-                                 cg_start=fresh.gram.resolvent(p.gamma))
-    best = min(result.trace.objective or [inst.objective(result.final_x)])
-    return method, iters, best, inst.lower_bound(result.final_x)
+        # with cg_start set, DY's next step depends only on w
+        method, start = "implicit-dy", fresh.gram.resolvent(p.gamma)
+        state = (x0, x0)
+
+        def advance(state, iters):
+            result = implicit_dy_run(fresh.H, fresh.f, fresh.D, cfg.lam1, cfg.lam2, HUBER_DELTA,
+                                     state[1], iters, gamma=p.gamma, cg_start=start)
+            return result.final_x, result.aux["w"]
+
+    best, bound, done = np.inf, -np.inf, 0
+    for end in [*range(REFERENCE_CHUNK, cap, REFERENCE_CHUNK), cap]:
+        state = advance(state, end - done)
+        done = end
+        objective = inst.objective(state[0])
+        if not np.isfinite(objective):
+            raise NumericalError(f"{method} reference: objective {objective} "
+                                 f"at iteration {done}")
+        best = min(best, objective)
+        bound = max(bound, inst.lower_bound(state[0]))
+        if best - bound <= REFERENCE_GAP:
+            break
+    stop = "certificate" if best - bound <= REFERENCE_GAP else "cap"
+    return best, {"method": method, "iterations": done, "cap": cap, "stop": stop,
+                  "lower_bound": bound}
+
+
+def _environment():
+    """The software and hardware a run used, with the keys and meaning of the
+    benchmark's environment block; outside the reproducibility contract."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_env": {k: os.environ.get(k) for k in
+                       ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+    }
 
 
 @dataclass
@@ -371,16 +422,16 @@ def run_experiment(cfg):
     phases["norms_s"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    ref_method, ref_iters, ref_best, lower_bound = _reference_run(cfg, inst)
+    ref_best, ref_entry = _reference_run(cfg, inst)
     phases["reference_s"] = time.perf_counter() - t
 
     summary = {
         "manifest": cfg.manifest(),
         "norms": norms,
-        "reference": {"method": ref_method, "iterations": ref_iters,
-                      "lower_bound": lower_bound},
+        "reference": ref_entry,
         "methods": {},
         "phases": phases,
+        "environment": _environment(),
     }
     result = ExperimentResult(config=cfg, out_dir=out_dir, summary=summary)
 
@@ -404,7 +455,7 @@ def run_experiment(cfg):
     t = time.perf_counter()
     reference = min(candidates)
     summary["reference"]["objective"] = reference
-    summary["reference"]["certified_gap"] = reference - lower_bound
+    summary["reference"]["certified_gap"] = reference - ref_entry["lower_bound"]
 
     for name, (mres, entry) in runs.items():
         trace = mres.trace

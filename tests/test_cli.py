@@ -21,6 +21,8 @@ from hpesplit.cli import (
     run_experiment,
 )
 from hpesplit.hpe import RunTrace
+from hpesplit.linalg import NumericalError
+from hpesplit.problems import ProblemInstance, make_cp_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 HEADER = ("method,k,objective_gap,lhs,rhs,inner_iters,h_apps,wall_ms,accept_tol,residual,"
@@ -336,12 +338,84 @@ class TestReference:
         # the bound meets the objective to rounding once the reference converged
         assert abs(reference["certified_gap"]) <= 1e-9
 
+    def test_reference_stops_on_its_certificate(self, tmp_path):
+        cfg = named_config("dy-run1", iters=1000, methods=(), out_dir=str(tmp_path))
+        reference = run_experiment(cfg).summary["reference"]
+        assert reference["stop"] == "certificate"
+        assert reference["cap"] == 10_000
+        assert reference["iterations"] < reference["cap"]
+        assert reference["iterations"] % cli.REFERENCE_CHUNK == 0
+        assert reference["certified_gap"] <= cli.REFERENCE_GAP
+
+    def test_reference_reports_its_cap(self, tmp_path):
+        cfg = named_config("cp1-run2", m=20, n=20, iters=5, out_dir=str(tmp_path))
+        reference = run_experiment(cfg).summary["reference"]
+        assert reference["stop"] == "cap"
+        assert reference["iterations"] == reference["cap"] == 50
+
+    @pytest.mark.parametrize("iters", [0, 25])
+    def test_objective_once_per_checkpoint(self, iters, tmp_path, monkeypatch):
+        calls = []
+        objective = ProblemInstance.objective
+
+        def counting(inst, x):
+            calls.append(np.array(x))
+            return objective(inst, x)
+
+        monkeypatch.setattr(ProblemInstance, "objective", counting)
+        cfg = named_config("cp1-run2", m=20, n=20, iters=iters, methods=(),
+                           out_dir=str(tmp_path))
+        reference = run_experiment(cfg).summary["reference"]
+        # checkpoints after iterations 100, 200 and 250; only x0 at a cap of 0
+        assert len(calls) == (3 if iters else 1)
+        if not iters:
+            inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
+            x0 = np.zeros(cfg.n)
+            assert reference["iterations"] == reference["cap"] == 0
+            assert not calls[0].any()
+            assert reference["objective"] == inst.objective(x0)
+            assert reference["lower_bound"] == inst.lower_bound(x0)
+
+    def test_non_finite_checkpoint_objective_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ProblemInstance, "objective", lambda inst, x: float("nan"))
+        cfg = named_config("cp1-run2", m=20, n=20, iters=5, methods=(), out_dir=str(tmp_path))
+        with pytest.raises(NumericalError, match="implicit-cp reference: objective nan "
+                                                 "at iteration 50"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("name", ["cp1-run2", "dy-run1"])
+    def test_chunks_reproduce_one_run(self, name, tmp_path, monkeypatch):
+        cfg = named_config(name, m=30, n=30, iters=25, methods=(), out_dir=str(tmp_path))
+        attr = "implicit_cp_run" if cfg.family == "cp" else "implicit_dy_run"
+        runner = getattr(cli, attr)
+        chunks = []
+
+        def spy(*args, **kwargs):
+            chunks.append((args, kwargs, runner(*args, **kwargs)))
+            return chunks[-1][2]
+
+        monkeypatch.setattr(cli, attr, spy)
+        reference = run_experiment(cfg).summary["reference"]
+        assert len(chunks) == 3 and reference["iterations"] == 250
+        args, kwargs, _ = chunks[0]
+        whole = runner(*args[:7], reference["iterations"], **kwargs)
+        assert np.array_equal(whole.final_x, chunks[-1][2].final_x)
+
     def test_phases_recorded(self, tmp_path):
         summary = run_experiment(small_config(out_dir=str(tmp_path))).summary
         assert set(summary["phases"]) == {"generate_s", "norms_s", "reference_s", "output_s"}
         assert all(value >= 0.0 for value in summary["phases"].values())
         on_disk = json.loads((tmp_path / "custom" / "summary.json").read_text())
         assert on_disk["phases"] == summary["phases"]
+
+    def test_environment_recorded(self, tmp_path):
+        environment = run_experiment(small_config(out_dir=str(tmp_path))).summary["environment"]
+        assert set(environment) == {"python", "numpy", "blas", "thread_env", "cpu_count"}
+        assert environment["numpy"] == np.__version__
+        assert set(environment["blas"]) == {"name", "version"}
+        assert set(environment["thread_env"]) == {
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert environment["cpu_count"] == os.cpu_count()
 
 
 class TestTraceAudit:
