@@ -7,8 +7,9 @@ drive a refinable resolvent oracle for the hard term and stop its inner CG as
 soon as the relative-error check of `hpe.certify` passes: DR and DY through
 the reduced step `hpe.reduced_hpe_run`, CP with its own M-seminorm check.
 An oracle is anything with the `LsqResolvent` protocol: ``set_target(rhs) ->
-(candidate, witness)`` carrying the previous candidate as warm start, and
-``refine() -> (candidate, witness)`` for one improvement.
+(candidate, witness)`` starting from a point predicted from the previous
+candidates and targets, and ``refine() -> (candidate, witness)`` for one
+improvement.
 
 Baselines: the same primal-dual iteration with a fixed-tolerance inner solve
 (`implicit_cp_run`, `implicit_dy_run`), the fully dualized explicit variant

@@ -50,13 +50,13 @@ class LsqResolvent:
     `linalg.cg_steps` one iteration at a time. After every step the witness
     a = Ht(H x - f) is recomputed from scratch, so the pair (candidate, witness)
     always satisfies the operator inclusion exactly, and the CG residual is
-    replaced by rhs - x - tau a, computed from that witness. A new target
-    reuses the witness of the unmoved candidate. The replaced residual only
-    steers CG and the stall test; it is not the certificate, which each
-    method computes from the exact (candidate, witness) pair.
+    replaced by rhs - x - tau a, computed from that witness. The replaced
+    residual only steers CG and the stall test; it is not the certificate,
+    which each method computes from the exact (candidate, witness) pair.
 
-    The candidate carries over between targets, which is the warm start used by
-    the outer splitting loops.
+    Each new target starts CG at a point predicted from the last candidate and
+    the target's move (see `set_target`); that is the warm start used by the
+    outer splitting loops. The witness is recomputed there as well.
     """
 
     def __init__(self, H, f, tau, x0=None):
@@ -68,6 +68,7 @@ class LsqResolvent:
         self._x = np.zeros(H.cols) if x0 is None else np.array(x0, dtype=float)
         self._a = None
         self._rhs = None
+        self._last = None  # (previous target, the candidate accepted for it)
         self._steps = None
 
     @property
@@ -94,20 +95,42 @@ class LsqResolvent:
         self._a = self.H.apply_adjoint(self.H.apply(x) - self.f)
         return self._rhs - x - self.tau * self._a
 
-    def set_target(self, rhs, warm_start=None):
-        """Point the oracle at a new resolvent argument, keeping the previous candidate.
+    def _slope(self):
+        """Secant estimate of the resolvent's slope along the previous target move.
 
-        The witness is recomputed only for a warm start or when none exists yet:
-        `_residual` is the one place that moves the candidate, and it recomputes
-        the witness there, so a cached witness is exact at the candidate.
+        <x - x_prev, rhs_prev - rhs_prevprev> / ||rhs_prev - rhs_prevprev||^2,
+        clipped to [0, 1], the range of the eigenvalues of (I + tau HtH)^{-1};
+        1 when there is no previous move.
         """
-        self._rhs = np.asarray(rhs, dtype=float)
+        if self._last is None:
+            return 1.0
+        move = self._rhs - self._last[0]
+        denom = float(move @ move)
+        if denom == 0.0:
+            return 1.0
+        return min(max(float((self._x - self._last[1]) @ move) / denom, 0.0), 1.0)
+
+    def set_target(self, rhs, warm_start=None):
+        """Point the oracle at a new resolvent argument and start CG at a predicted point.
+
+        The resolvent is affine in rhs, so every target after the first starts
+        at x + c (rhs - rhs_prev), the last candidate shifted by the target's
+        move scaled by the secant slope c of `_slope`. The first target starts
+        at the current candidate, and an explicit `warm_start` replaces the
+        prediction. The witness is recomputed at the start point (2 `H`
+        applications), so the (candidate, witness) pair stays exact.
+        """
+        rhs = np.array(rhs, dtype=float)
         if warm_start is not None:
-            res = self._residual(np.array(warm_start, dtype=float))
-        elif self._a is None:
-            res = self._residual(self._x)
+            start = np.array(warm_start, dtype=float)
+        elif self._rhs is None:
+            start = self._x
         else:
-            res = self._rhs - self._x - self.tau * self._a
+            start = self._x + self._slope() * (rhs - self._rhs)
+        if self._rhs is not None:
+            self._last = (self._rhs, self._x)
+        self._rhs = rhs
+        res = self._residual(start)
         self._rs = float(res @ res)
         self._steps = cg_steps(self._apply, self._x, res, residual=self._residual)
         return self._x, self._a

@@ -117,11 +117,10 @@ class TestEcksteinYao:
                                   tau, sigma, np.zeros(Hm.shape[1]), 30)
         h = result.trace.h_applications
         inner = result.trace.inner_iterations
-        # 2 for the first witness, then 4 per refinement; a new target reuses
-        # the witness of the unmoved candidate
+        # 2 for the witness at each target's start, then 4 per refinement
         assert h[0] == 2 + 4 * inner[0]
         for k in range(1, len(h)):
-            assert h[k] - h[k - 1] == 4 * inner[k]
+            assert h[k] - h[k - 1] == 2 + 4 * inner[k]
 
 
 class TestInexactCp:
@@ -215,7 +214,7 @@ class TestInexactCp:
         inner = res.trace.inner_iterations
         assert h[0] == 2 + 4 * inner[0]
         for k in range(1, len(h)):
-            assert h[k] - h[k - 1] == 4 * inner[k]
+            assert h[k] - h[k - 1] == 2 + 4 * inner[k]
 
     def test_d_counts_exclude_instrumentation(self):
         # per outer step: Kt y once, then K in the dual candidate and K in the
@@ -334,7 +333,7 @@ class TestInexactDy:
         inner = res.trace.inner_iterations
         assert h[0] == 2 + 4 * inner[0]
         for k in range(1, len(h)):
-            assert h[k] - h[k - 1] == 4 * inner[k]
+            assert h[k] - h[k - 1] == 2 + 4 * inner[k]
 
 
 class TestImplicitCp:

@@ -166,7 +166,7 @@ class TestLsqResolventOracle:
         oracle.refine()                   # CG matvec 2 + witness recompute 2
         assert H.total_count - before == 6
 
-    def test_unmoved_candidate_reuses_its_witness(self):
+    def test_predicted_start_recomputes_the_witness(self):
         H, Hm, f, rhs, tau, _ = self.setup_problem()
         rng = np.random.default_rng(5)
         oracle = LsqResolvent(H, f, tau)
@@ -175,7 +175,7 @@ class TestLsqResolventOracle:
             oracle.refine()
             before = H.total_count
             x, a = oracle.set_target(rng.standard_normal(H.cols))
-            assert H.total_count == before
+            assert H.total_count - before == 2
             truth = Hm.T @ (Hm @ x - f)
             assert np.linalg.norm(a - truth) <= 1e-13 * np.linalg.norm(truth)
 
@@ -192,22 +192,24 @@ class TestLsqResolventOracle:
         truth = Hm.T @ (Hm @ x0 - f)
         assert np.linalg.norm(a - truth) <= 1e-13 * np.linalg.norm(truth)
 
-    def test_cached_witness_steers_cg_like_a_recomputed_one(self):
-        # a fresh oracle warm-started at the same candidate recomputes the
-        # witness; both must then take bit-identical CG steps
+    def test_predicted_start_steers_cg_like_a_warm_start(self):
+        # a fresh oracle given the predicted point as warm start recomputes the
+        # same witness there; both must then take bit-identical CG steps
         H, _, f, rhs, tau, _ = self.setup_problem()
-        rhs2 = np.random.default_rng(7).standard_normal(H.cols)
-        cached = LsqResolvent(H, f, tau)
-        cached.set_target(rhs)
-        for _ in range(3):
-            cached.refine()
-        recomputed = LsqResolvent(H, f, tau)
-        recomputed.set_target(rhs2, warm_start=cached.candidate)
-        cached.set_target(rhs2)
-        assert cached.residual_norm == recomputed.residual_norm
+        rng = np.random.default_rng(7)
+        predicted = LsqResolvent(H, f, tau)
+        for target in (rhs, rng.standard_normal(H.cols)):
+            predicted.set_target(target)
+            for _ in range(3):
+                predicted.refine()
+        rhs3 = rng.standard_normal(H.cols)
+        predicted.set_target(rhs3)
+        explicit = LsqResolvent(H, f, tau)
+        explicit.set_target(rhs3, warm_start=predicted.candidate)
+        assert predicted.residual_norm == explicit.residual_norm
         for _ in range(4):
-            x, a = cached.refine()
-            y, b = recomputed.refine()
+            x, a = predicted.refine()
+            y, b = explicit.refine()
             np.testing.assert_array_equal(x, y)
             np.testing.assert_array_equal(a, b)
 
@@ -227,3 +229,100 @@ class TestLsqResolventOracle:
         H, _, f, _, tau, _ = self.setup_problem()
         with pytest.raises(RuntimeError):
             LsqResolvent(H, f, tau).refine()
+
+
+class TestPredictedStart:
+    """`set_target` starts at x + c (rhs - rhs_prev) with a clipped secant slope c."""
+
+    def setup_problem(self, seed=4, n=10, tau=0.7):
+        rng = np.random.default_rng(seed)
+        Hm = rng.standard_normal((n, n)) / np.sqrt(n)
+        f = rng.standard_normal(n)
+        return LinearMap(Hm), Hm, f, tau, rng
+
+    @staticmethod
+    def solve(Hm, f, tau, rhs):
+        n = Hm.shape[1]
+        return np.linalg.solve(np.eye(n) + tau * Hm.T @ Hm, rhs + tau * Hm.T @ f)
+
+    @staticmethod
+    def slope(x_pred, x_last, move):
+        """c with x_pred - x_last = c * move, after checking the shift is along move."""
+        c = float((x_pred - x_last) @ move) / float(move @ move)
+        shift = x_pred - x_last
+        assert np.linalg.norm(shift - c * move) <= 1e-13 * (1 + np.linalg.norm(x_last))
+        return c
+
+    @pytest.mark.parametrize("i", [0, 4, 9])
+    def test_exact_along_a_singular_vector(self, i):
+        # the resolvent maps a move t v_i of the target to t v_i / (1 + tau s_i^2),
+        # so after two exact solves along v_i the secant prediction is exact
+        H, Hm, f, tau, rng = self.setup_problem()
+        _, s, Vt = np.linalg.svd(Hm)
+        v, expected_c = Vt[i], 1.0 / (1.0 + tau * s[i] ** 2)
+        t0 = rng.standard_normal(H.cols)
+        targets = [t0, t0 + 1.5 * v, t0 + 0.7 * v]
+        oracle = LsqResolvent(H, f, tau)
+        for rhs in targets[:2]:
+            oracle.set_target(rhs, warm_start=self.solve(Hm, f, tau, rhs))
+        x_last = oracle.candidate
+        x, _ = oracle.set_target(targets[2])
+        assert self.slope(x, x_last, targets[2] - targets[1]) == pytest.approx(expected_c,
+                                                                               rel=1e-10)
+        solution = self.solve(Hm, f, tau, targets[2])
+        assert np.linalg.norm(x - solution) <= 1e-12 * np.linalg.norm(solution)
+        assert oracle.residual_norm <= 1e-12 * (1 + np.linalg.norm(targets[2]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shift_is_the_clipped_secant_along_the_move(self, seed):
+        # random targets, some returning to the one before last, each refined
+        # a random number of times before the next target arrives
+        H, _, f, tau, _ = self.setup_problem()
+        rng = np.random.default_rng(seed)
+        oracle = LsqResolvent(H, f, tau)
+        targets, accepted = [rng.standard_normal(H.cols)], []
+        oracle.set_target(targets[0])
+        for k in range(1, 12):
+            for _ in range(rng.integers(0, 4)):
+                oracle.refine()
+            accepted.append(oracle.candidate)
+            rhs = targets[-2] if k >= 2 and rng.random() < 0.4 else rng.standard_normal(H.cols)
+            x, _ = oracle.set_target(rhs)
+            c = self.slope(x, accepted[-1], rhs - targets[-1])
+            if k >= 2:
+                prev_move = targets[-1] - targets[-2]
+                secant = float((accepted[-1] - accepted[-2]) @ prev_move) / float(
+                    prev_move @ prev_move)
+                assert c == pytest.approx(min(max(secant, 0.0), 1.0), abs=1e-12)
+            assert 0.0 <= c <= 1.0
+            targets.append(rhs)
+
+    def test_reversing_targets_clip_a_negative_secant_to_zero(self):
+        # the targets go r, -r, r while the accepted candidates move against
+        # them, so the unclipped secant is -1/2 and the start stays put
+        H, _, f, tau, rng = self.setup_problem()
+        r = rng.standard_normal(H.cols)
+        oracle = LsqResolvent(H, f, tau)
+        oracle.set_target(r, warm_start=np.zeros(H.cols))
+        oracle.set_target(-r, warm_start=r)
+        x, _ = oracle.set_target(r)
+        np.testing.assert_array_equal(x, r)
+
+    def test_secant_above_one_is_clipped(self):
+        H, _, f, tau, rng = self.setup_problem()
+        r = rng.standard_normal(H.cols)
+        oracle = LsqResolvent(H, f, tau)
+        oracle.set_target(r, warm_start=np.zeros(H.cols))
+        oracle.set_target(-r, warm_start=-4 * r)    # unclipped secant 2
+        x, _ = oracle.set_target(r)
+        assert self.slope(x, -4 * r, 2 * r) == pytest.approx(1.0, abs=1e-12)
+
+    def test_second_target_shifts_by_the_full_move(self):
+        H, _, f, tau, rng = self.setup_problem()
+        rhs, rhs2 = rng.standard_normal(H.cols), rng.standard_normal(H.cols)
+        oracle = LsqResolvent(H, f, tau)
+        oracle.set_target(rhs)
+        for _ in range(2):
+            x_last, _ = oracle.refine()
+        x, _ = oracle.set_target(rhs2)
+        np.testing.assert_array_equal(x, x_last + (rhs2 - rhs))
