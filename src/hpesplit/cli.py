@@ -2,9 +2,10 @@
 
 `run_experiment` generates a seeded instance, computes a reference objective
 and a dual lower bound from a run of the implicit baseline (its resolvent in
-closed form from the generator's Gram factor, checked by CG) that stops once
-the two are within `REFERENCE_GAP` or after ``ref_factor * iters`` iterations,
-runs every requested method on fresh operator counters, writes one CSV per
+closed form from the generator's Gram factor, checked by CG; for CP restarted
+at its checkpoints with an adaptive kappa) that stops once the two are within
+`REFERENCE_GAP` or after ``ref_factor * iters`` iterations, runs every
+requested method on fresh operator counters, writes one CSV per
 method plus a JSON summary and the manifest (the config itself), and audits
 the certified methods' traces.
 
@@ -62,6 +63,9 @@ GAP_THRESHOLD = 1e-6
 # dual bound; it checks both every REFERENCE_CHUNK iterations
 REFERENCE_GAP = 1e-10
 REFERENCE_CHUNK = 100
+# the CP reference restarts at a checkpoint whose gap is at most this times
+# the gap at its last restart, and adapts its kappa there
+RESTART_DECAY = 0.2
 # Huber width of the DY family's smoothed total-variation term
 HUBER_DELTA = 0.01
 
@@ -320,41 +324,50 @@ def _reference_run(cfg, inst):
     """The implicit baseline with every inner CG started at the closed-form
     resolvent from the generator's Gram factor, stopped on its dual certificate.
 
-    CG still checks that start against its 1e-8 tolerance, and the stepsizes
-    are the experiment's. The run goes in chunks of `REFERENCE_CHUNK`
-    iterations; each chunk resumes from the last one's state, so the iterates
-    are those of one unchunked run. After each chunk the objective and the
-    dual lower bound are evaluated once, at its last iterate. The run stops as
-    soon as the lowest objective minus the highest bound seen is at most
-    `REFERENCE_GAP` (``stop = "certificate"``), or after ``ref_factor * iters``
-    iterations (``stop = "cap"``); with a cap of 0 both are evaluated at x0.
-    Returns the lowest objective and the summary's reference entry; the run's
-    trace is not kept.
+    CG still checks that start against its 1e-8 tolerance. The run goes in
+    chunks of `REFERENCE_CHUNK` iterations, each resuming from the last one's
+    state. After each chunk the objective and the dual lower bound are
+    evaluated once, at its last iterate. The run stops as soon as the lowest
+    objective minus the highest bound seen is at most `REFERENCE_GAP`
+    (``stop = "certificate"``), or after ``ref_factor * iters`` iterations
+    (``stop = "cap"``); with a cap of 0 both are evaluated at x0.
+
+    DY keeps the experiment's gamma, so its iterates are those of one
+    unchunked run. CP starts at the experiment's kappa and restarts at a
+    checkpoint whose gap (objective minus bound) is at most `RESTART_DECAY`
+    times the gap at the last restart; the first checkpoint always restarts.
+    A restart sets kappa <- sqrt(kappa * ||y - y_r|| / ||x - x_r||), with
+    (x_r, y_r) the iterate at the last restart (PDLP's primal weight), and
+    continues from the current iterate. Returns the lowest objective and the
+    summary's reference entry; the run's trace is not kept.
     """
     fresh = inst.fresh()
-    p = cfg.step_params()
     cap = cfg.iters * cfg.ref_factor
     x0 = np.zeros(fresh.n)
+    kappa, restarts = cfg.kappa, 0  # CP only
     # advance(state, iters) -> state, where state[0] is the primal iterate
     if cfg.family == "cp":
-        method, start = "implicit-cp", fresh.gram.resolvent(p.tau)
+        method = "implicit-cp"
         state = (x0, np.zeros(fresh.D.rows))
 
         def advance(state, iters):
+            p = CpParams.from_kappa(kappa)
             result = implicit_cp_run(fresh.H, fresh.f, fresh.D, cfg.lam, p, *state, iters,
-                                     cg_start=start)
+                                     cg_start=fresh.gram.resolvent(p.tau))
             return result.final_x, result.aux["y"]
     else:
         # with cg_start set, DY's next step depends only on w
-        method, start = "implicit-dy", fresh.gram.resolvent(p.gamma)
+        gamma = cfg.step_params().gamma
+        method, start = "implicit-dy", fresh.gram.resolvent(gamma)
         state = (x0, x0)
 
         def advance(state, iters):
             result = implicit_dy_run(fresh.H, fresh.f, fresh.D, cfg.lam1, cfg.lam2, HUBER_DELTA,
-                                     state[1], iters, gamma=p.gamma, cg_start=start)
+                                     state[1], iters, gamma=gamma, cg_start=start)
             return result.final_x, result.aux["w"]
 
     best, bound, done = np.inf, -np.inf, 0
+    anchor, restart_gap = state, np.inf
     for end in [*range(REFERENCE_CHUNK, cap, REFERENCE_CHUNK), cap]:
         state = advance(state, end - done)
         done = end
@@ -362,13 +375,22 @@ def _reference_run(cfg, inst):
         if not np.isfinite(objective):
             raise NumericalError(f"{method} reference: objective {objective} "
                                  f"at iteration {done}")
-        best = min(best, objective)
-        bound = max(bound, inst.lower_bound(state[0]))
+        lower = inst.lower_bound(state[0])
+        best, bound = min(best, objective), max(bound, lower)
         if best - bound <= REFERENCE_GAP:
             break
+        if cfg.family == "cp" and done < cap and objective - lower <= RESTART_DECAY * restart_gap:
+            dx = np.linalg.norm(state[0] - anchor[0])
+            dy = np.linalg.norm(state[1] - anchor[1])
+            if dx > 0 and dy > 0:
+                kappa = float(np.sqrt(kappa * dy / dx))
+            anchor, restart_gap, restarts = state, objective - lower, restarts + 1
     stop = "certificate" if best - bound <= REFERENCE_GAP else "cap"
-    return best, {"method": method, "iterations": done, "cap": cap, "stop": stop,
-                  "lower_bound": bound}
+    entry = {"method": method, "iterations": done, "cap": cap, "stop": stop,
+             "lower_bound": bound}
+    if cfg.family == "cp":
+        entry.update(kappa=kappa, restarts=restarts)
+    return best, entry
 
 
 def _environment():

@@ -249,8 +249,15 @@ def audit_invariants(trace, sigma, u_star_seminorms=None, rtol=1e-9):
     bound (1 - sigma) * step <= ||v||_M <= (1 + sigma) * step, and - when
     ``u_star_seminorms`` supplies d_k = ||u^k - u*||_M for k = 0..K - the
     quasi-Fejer inequality d_{k+1}^2 + (1 - sigma^2) step_k^2 <= d_k^2 and its
-    summed form.  Tolerances scale with the run (rtol relative).
+    summed form.  Tolerances scale with the run (rtol relative).  A sigma
+    outside [0, 1), where the runners certify, or an rtol that is not finite
+    and nonnegative raises ValueError: an infinite sigma or a NaN rtol would
+    pass every row, and a negative rtol fail exact ones.
     """
+    if not 0 <= sigma < 1:
+        raise ValueError(f"sigma must be in [0, 1), got {sigma}")
+    if not (np.isfinite(rtol) and rtol >= 0):
+        raise ValueError(f"rtol must be finite and nonnegative, got {rtol}")
     n = len(trace)
     failures = []
     fejer = u_star_seminorms is not None

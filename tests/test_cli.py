@@ -22,6 +22,7 @@ from hpesplit.cli import (
 )
 from hpesplit.hpe import RunTrace
 from hpesplit.linalg import NumericalError
+from hpesplit.methods import CpParams, implicit_cp_run
 from hpesplit.problems import ProblemInstance, make_cp_instance
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -383,7 +384,7 @@ class TestReference:
                                                  "at iteration 50"):
             run_experiment(cfg)
 
-    @pytest.mark.parametrize("name", ["cp1-run2", "dy-run1"])
+    @pytest.mark.parametrize("name", ["dy-run1"])
     def test_chunks_reproduce_one_run(self, name, tmp_path, monkeypatch):
         cfg = named_config(name, m=30, n=30, iters=25, methods=(), out_dir=str(tmp_path))
         attr = "implicit_cp_run" if cfg.family == "cp" else "implicit_dy_run"
@@ -400,6 +401,92 @@ class TestReference:
         args, kwargs, _ = chunks[0]
         whole = runner(*args[:7], reference["iterations"], **kwargs)
         assert np.array_equal(whole.final_x, chunks[-1][2].final_x)
+
+    @staticmethod
+    def spied_cp_reference(cfg, monkeypatch):
+        """The CP reference entry and its chunks, each as (CpParams, x, y, iters,
+        result), with (x, y) the state the chunk started from."""
+        runner = cli.implicit_cp_run
+        chunks = []
+
+        def spy(H, f, D, lam, p, x, y, iters, **kwargs):
+            chunks.append((p, x, y, iters, runner(H, f, D, lam, p, x, y, iters, **kwargs)))
+            return chunks[-1][-1]
+
+        monkeypatch.setattr(cli, "implicit_cp_run", spy)
+        return run_experiment(cfg).summary["reference"], chunks
+
+    @staticmethod
+    def replay_restarts(cfg, chunks):
+        """Each checkpoint followed by a chunk as (restart, x, y, x_r, y_r): whether
+        its gap is at most RESTART_DECAY times the gap at the last restart, its
+        state, and the state at the last restart before it."""
+        inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
+        _, x_r, y_r, _, _ = chunks[0]
+        restart_gap, checkpoints = np.inf, []
+        for *_, result in chunks[:-1]:
+            x, y = result.final_x, result.aux["y"]
+            gap = inst.objective(x) - inst.lower_bound(x)
+            restart = gap <= cli.RESTART_DECAY * restart_gap
+            checkpoints.append((restart, x, y, x_r, y_r))
+            if restart:
+                x_r, y_r, restart_gap = x, y, gap
+        return checkpoints
+
+    def test_cp_chunks_resume_and_reproduce(self, tmp_path, monkeypatch):
+        cfg = named_config("cp1-run2", m=30, n=30, iters=25, methods=(), out_dir=str(tmp_path))
+        reference, chunks = self.spied_cp_reference(cfg, monkeypatch)
+        assert len(chunks) == 3 and reference["iterations"] == 250
+        assert chunks[0][0].kappa == cfg.kappa and chunks[1][0].kappa != cfg.kappa
+        for previous, chunk in zip(chunks, chunks[1:]):
+            assert chunk[1] is previous[-1].final_x and chunk[2] is previous[-1].aux["y"]
+        inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
+        for p, x, y, iters, result in chunks:
+            alone = implicit_cp_run(inst.H, inst.f, inst.D, cfg.lam,
+                                    CpParams.from_kappa(p.kappa), x, y, iters,
+                                    cg_start=inst.gram.resolvent(p.tau))
+            assert np.array_equal(alone.final_x, result.final_x)
+
+    def test_restart_when_the_gap_falls_by_the_decay(self, tmp_path, monkeypatch):
+        cfg = named_config("cp1-run2", iters=1000, methods=(), out_dir=str(tmp_path))
+        reference, chunks = self.spied_cp_reference(cfg, monkeypatch)
+        restarts = [restart for restart, *_ in self.replay_restarts(cfg, chunks)]
+        assert restarts[0] and not all(restarts)
+        # kappa changes exactly at the restarts
+        kappas = [p.kappa for p, *_ in chunks]
+        assert [a != b for a, b in zip(kappas, kappas[1:])] == restarts
+        assert reference["restarts"] == sum(restarts)
+        assert reference["kappa"] == kappas[-1]
+
+    def test_restart_sets_the_primal_weight(self, tmp_path, monkeypatch):
+        cfg = named_config("cp1-run2", iters=1000, methods=(), out_dir=str(tmp_path))
+        _, chunks = self.spied_cp_reference(cfg, monkeypatch)
+        kappas = [p.kappa for p, *_ in chunks]
+        changed = 0
+        for (restart, x, y, x_r, y_r), kappa, after in zip(self.replay_restarts(cfg, chunks),
+                                                           kappas, kappas[1:]):
+            if restart:
+                changed += 1
+                expected = np.sqrt(kappa * np.linalg.norm(y - y_r) / np.linalg.norm(x - x_r))
+                assert after == expected
+        assert changed > 1
+
+    def test_closed_form_follows_each_new_kappa(self, monkeypatch, tmp_path):
+        cfg = named_config("cp1-run2", iters=50, methods=(), out_dir=str(tmp_path))
+        reference, chunks = self.spied_cp_reference(cfg, monkeypatch)
+        assert len(chunks) == 5 and reference["restarts"] >= 1
+        assert len({p.kappa for p, *_ in chunks}) > 1
+        for *_, result in chunks:
+            assert max(result.trace.inner_iterations) == 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cp_reference_stops_on_its_certificate(self, seed, tmp_path):
+        cfg = named_config("cp1-run2", iters=1000, seed=seed, methods=(),
+                           out_dir=str(tmp_path))
+        reference = run_experiment(cfg).summary["reference"]
+        assert reference["stop"] == "certificate"
+        assert reference["certified_gap"] <= cli.REFERENCE_GAP
+        assert reference["restarts"] >= 1 and reference["kappa"] > 0
 
     def test_phases_recorded(self, tmp_path):
         summary = run_experiment(small_config(out_dir=str(tmp_path))).summary
@@ -458,6 +545,33 @@ class TestTraceAudit:
         assert audit_trace_file(path, 0.95) == audit_trace_file(path) == []
         assert audit_trace_file(path, 0.5) == [
             "sigma 0.5 was given, but the trace was certified at sigma 0.95"]
+
+    @pytest.mark.parametrize("args, sigma, error", [
+        (["--rtol", "nan"], None, "error: rtol must be finite and nonnegative, got nan"),
+        (["--rtol", "-1"], None, "error: rtol must be finite and nonnegative, got -1.0"),
+        ([], "inf", "error: sigma must be in [0, 1), got inf"),
+    ], ids=["rtol-nan", "rtol-negative", "sigma-inf"])
+    def test_audit_that_cannot_fail_is_an_error(self, tmp_path, capsys, args, sigma, error):
+        cfg = named_config("cp1-run2", m=20, n=20, iters=20, out_dir=str(tmp_path))
+        path = Path(run_experiment(cfg).summary["methods"]["hpe-cp"]["trace"])
+        lines = path.read_text().splitlines()
+        names = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+        rows[0][names.index("lhs")] = "1e9"  # row 0 violates its acceptance test
+        assert main(["audit", str(self.write_rows(path, names, rows))]) == 2
+        assert "audit FAILED with 1 violations" in capsys.readouterr().err
+        if sigma is not None:
+            for row in rows:
+                row[names.index("sigma")] = sigma
+            self.write_rows(path, names, rows)
+        assert main(["audit", str(path), *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == error + "\n"
+
+    @staticmethod
+    def write_rows(path, names, rows):
+        path.write_text("\n".join(",".join(row) for row in [names, *rows]) + "\n")
+        return path
 
     @pytest.mark.parametrize("text", [
         "method,k,objective_gap,lhs,rhs,inner_iters,h_apps,wall_ms\n"

@@ -332,6 +332,20 @@ class TestAudit:
         with pytest.raises(ValueError):
             audit_invariants(trace, sigma=0.5, u_star_seminorms=[1.0] * 5)
 
+    @pytest.mark.parametrize("sigma, rtol, message", [
+        (float("inf"), 1e-9, "sigma must be in"),
+        (1.0, 1e-9, "sigma must be in"),
+        (-0.1, 1e-9, "sigma must be in"),
+        (float("nan"), 1e-9, "sigma must be in"),
+        (0.5, float("nan"), "rtol must be finite"),
+        (0.5, float("inf"), "rtol must be finite"),
+        (0.5, -1.0, "rtol must be finite"),
+    ])
+    def test_rejects_a_test_that_cannot_fail_or_cannot_pass(self, sigma, rtol, message):
+        trace = self.run_toy(0.5, iters=3)
+        with pytest.raises(ValueError, match=message):
+            audit_invariants(trace, sigma=sigma, rtol=rtol)
+
 
 class TestConfig:
     def test_sigma_range(self):
