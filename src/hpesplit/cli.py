@@ -204,11 +204,11 @@ def config_from_file(path, **overrides):
 
 
 def _coerce(kind, val):
-    """``val`` read as type ``kind``: Optional[X] as X, a tuple split on commas,
-    a bool only from true or false."""
+    """``val`` read as type ``kind``: Optional[X] as X, a tuple split on commas
+    without empty items, a bool only from true or false."""
     kind = next((arg for arg in get_args(kind) if arg is not type(None)), kind)
     if kind is tuple:
-        return tuple(v.strip() for v in val.split(","))
+        return tuple(v.strip() for v in val.split(",") if v.strip())
     if kind is bool:
         if val.lower() not in ("true", "false"):
             raise ValueError(f"must be true or false, got {val!r}")

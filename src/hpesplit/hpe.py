@@ -110,9 +110,35 @@ class RunTrace:
         return [obj - ref for obj in self.objective]
 
 
+# trace rows whose objective `iterate` evaluates together, as one block
+OBJECTIVE_BLOCK = 256
+
+
+def _write_objective(objective, block, trace, method):
+    """Evaluate the objective at each row of ``block`` (the primal points of the
+    trace's last ``len(block)`` rows) and write the values into those rows.
+
+    An objective whose ``batched`` attribute is true is called once with the
+    whole block; any other is called once per row. The first value that is not
+    finite raises `NumericalError` naming its iteration.
+    """
+    start = len(trace) - len(block)
+    values = objective(block) if getattr(objective, "batched", False) else map(objective, block)
+    for i, value in enumerate(values, start):
+        value = float(value)
+        if not math.isfinite(value):
+            raise NumericalError(f"{method}: objective {value} at iteration {trace.k[i]}")
+        trace.objective[i] = value
+
+
 def iterate(step, state, iters, objective=None, h_counter=None, record=None,
             method="", sigma=None):
-    """The outer loop of every runner: step, time, evaluate, write the trace row.
+    """The outer loop of every runner: step, time, write the trace row.
+
+    The objective is instrumentation: no step depends on it. So each row's
+    primal point is copied into a block of ``min(OBJECTIVE_BLOCK, iters)``
+    rows, and the objective is evaluated once per full block and once at the
+    end. A row's ``wall_ms`` times its step only.
 
     Parameters
     ----------
@@ -125,9 +151,13 @@ def iterate(step, state, iters, objective=None, h_counter=None, record=None,
     iters : int
         Number of outer iterations.
     objective : callable, optional
-        ``objective(x) -> float`` recorded per iteration (NaN when absent). A
-        value that is not finite raises `NumericalError` naming the method
-        and the iteration.
+        ``objective(x) -> float`` recorded per iteration (NaN when absent). An
+        objective with a true ``batched`` attribute is instead called as
+        ``objective(block)`` on a (rows, n) block of points and returns one
+        value per row. A value that is not finite raises `NumericalError`
+        naming the method and its iteration. If a step raises, the rows
+        buffered so far are evaluated first, so an earlier non-finite value
+        is the error reported.
     h_counter : callable, optional
         Returns the cumulative count of the dominant operator applications.
     record : callable, optional
@@ -144,18 +174,31 @@ def iterate(step, state, iters, objective=None, h_counter=None, record=None,
     count = h_counter if h_counter is not None else (lambda: 0)
     if record is not None:
         trace.iterates = [np.array(record(state), dtype=float)]
+    size = min(OBJECTIVE_BLOCK, iters)
+    block, filled = None, 0
     for k in range(iters):
         t0 = time.perf_counter()
-        state, rec = step(k, state)
-        obj = float("nan")
-        if objective is not None:
-            obj = float(objective(state[0]))
-            if not math.isfinite(obj):
-                raise NumericalError(f"{method}: objective {obj} at iteration {k}")
-        trace.append(k, obj, rec.lhs, rec.rhs, rec.inner, count(), rec.residual,
+        try:
+            state, rec = step(k, state)
+        except Exception:
+            if filled:
+                _write_objective(objective, block[:filled], trace, method)
+            raise
+        trace.append(k, float("nan"), rec.lhs, rec.rhs, rec.inner, count(), rec.residual,
                      wall_ms=(time.perf_counter() - t0) * 1e3, accept_tol=rec.accept_tol)
+        if objective is not None:
+            if filled == 0:
+                # a new array per block, so rows already handed out stay as they were
+                block = np.empty((size,) + np.shape(state[0]))
+            block[filled] = state[0]
+            filled += 1
+            if filled == size:
+                filled = 0
+                _write_objective(objective, block, trace, method)
         if record is not None:
             trace.iterates.append(np.array(record(state), dtype=float))
+    if filled:
+        _write_objective(objective, block[:filled], trace, method)
     return trace, state
 
 

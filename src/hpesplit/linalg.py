@@ -22,7 +22,9 @@ class LinearMap:
     only the counters mutate. Counters measure algorithmic work (exactly one
     increment per application), which is the cost metric the benchmark harness
     compares. Instrumentation such as objective evaluation should go through
-    the ``*_uncounted`` variants so it does not distort that comparison.
+    the ``*_uncounted`` variants so it does not distort that comparison. Only
+    they also take a (k, cols) block of points, one per row, and return one
+    product per row; the dense map computes a block as one GEMM.
     """
 
     def __init__(self, matrix, name=""):
@@ -72,16 +74,19 @@ class LinearMap:
         return clone
 
     def _forward(self, x):
-        return self._mat @ x
+        return self._mat @ x if x.ndim == 1 else x @ self._mat.T
 
     def _adjoint(self, y):
-        return self._mat.T @ y
+        return self._mat.T @ y if y.ndim == 1 else y @ self._mat
 
-    def _check_dim(self, x, expected, kind):
+    def _check_dim(self, x, expected, kind, block=False):
+        """``x`` as floats, if it is a vector of length ``expected`` or, when
+        ``block`` is set, a 2-d block of such vectors as rows."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (expected,):
-            raise ValueError(f"{kind} application of {self.shape} map needs a "
-                             f"vector of length {expected}, got shape {x.shape}")
+        if x.shape[-1:] != (expected,) or x.ndim > (2 if block else 1):
+            rows = " (or a block of rows)" if block else ""
+            raise ValueError(f"{kind} application of {self.shape} map needs a vector"
+                             f"{rows} of length {expected}, got shape {x.shape}")
         return x
 
     def apply(self, x):
@@ -95,10 +100,10 @@ class LinearMap:
         return self._adjoint(y)
 
     def apply_uncounted(self, x):
-        return self._forward(self._check_dim(x, self.cols, "forward"))
+        return self._forward(self._check_dim(x, self.cols, "forward", block=True))
 
     def apply_adjoint_uncounted(self, y):
-        return self._adjoint(self._check_dim(y, self.rows, "adjoint"))
+        return self._adjoint(self._check_dim(y, self.rows, "adjoint", block=True))
 
 
 class FirstDifference(LinearMap):
@@ -124,13 +129,13 @@ class FirstDifference(LinearMap):
         return mat
 
     def _forward(self, x):
-        return x[1:] - x[:-1]
+        return x[..., 1:] - x[..., :-1]
 
     def _adjoint(self, y):
-        out = np.empty(self.cols)
-        out[0] = -y[0]
-        out[1:-1] = y[:-1] - y[1:]
-        out[-1] = y[-1]
+        out = np.empty(y.shape[:-1] + (self.cols,))
+        out[..., 0] = -y[..., 0]
+        out[..., 1:-1] = y[..., :-1] - y[..., 1:]
+        out[..., -1] = y[..., -1]
         return out
 
 

@@ -27,12 +27,20 @@ def clip(x, lam):
 
 
 def huber_value(y, delta):
-    """Sum of componentwise Huber penalties: quadratic inside [-delta, delta], linear outside."""
+    """Sum of componentwise Huber penalties: quadratic inside [-delta, delta], linear
+    outside. A 2-d block of vectors as rows gives one sum per row."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    y = np.asarray(y, dtype=float)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
     a = np.abs(y)
-    return float(np.sum(np.where(a <= delta, 0.5 * y * y, delta * (a - 0.5 * delta))))
+    quad = a <= delta
+    # a becomes the linear branch, then takes the quadratic one where it applies;
+    # in place, because for a block each temporary costs a block of memory
+    a -= 0.5 * delta
+    a *= delta
+    np.multiply(0.5 * y, y, out=a, where=quad)
+    total = a.sum(axis=-1)
+    return float(total) if y.ndim == 1 else total
 
 
 def huber_gradient(y, delta):

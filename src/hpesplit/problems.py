@@ -123,19 +123,31 @@ def gen_signal_and_data(H, seed, jumps=10, sparsity=0.5, noise_std=None):
     return x_true, f, noise_std
 
 
+def _data_fit(H, f, x):
+    """0.5 ||H x - f||^2, or one value per row of a 2-d block of points."""
+    r = H.apply_uncounted(x)
+    r -= f
+    return 0.5 * float(r @ r) if r.ndim == 1 else 0.5 * np.einsum("ij,ij->i", r, r)
+
+
+def _per_point(val, x):
+    """A float for a single point x, the array of per-row values for a block."""
+    return float(val) if np.ndim(x) == 1 else val
+
+
 def objective_cp(H, f, D, lam, x):
-    """0.5 ||H x - f||^2 + lam * ||D x||_1 (uncounted applications)."""
-    r = H.apply_uncounted(x) - f
-    return 0.5 * float(r @ r) + lam * float(np.abs(D.apply_uncounted(x)).sum())
+    """0.5 ||H x - f||^2 + lam * ||D x||_1 (uncounted applications). A (rows, n)
+    block of points gives one value per row, from one product with H."""
+    return _per_point(_data_fit(H, f, x) + lam * np.abs(D.apply_uncounted(x)).sum(axis=-1), x)
 
 
 def objective_dy(H, f, D, lam1, lam2, delta, x):
-    """0.5 ||H x - f||^2 + lam1 ||x||_1 + lam2 * huber(D x) (uncounted applications)."""
-    r = H.apply_uncounted(x) - f
-    val = 0.5 * float(r @ r) + lam1 * float(np.abs(x).sum())
+    """0.5 ||H x - f||^2 + lam1 ||x||_1 + lam2 * huber(D x) (uncounted applications).
+    A (rows, n) block of points gives one value per row, from one product with H."""
+    val = _data_fit(H, f, x) + lam1 * np.abs(x).sum(axis=-1)
     if lam2:
         val += lam2 * huber_value(D.apply_uncounted(x), delta)
-    return val
+    return _per_point(val, x)
 
 
 def _best_scaled_dual(quad, lin, excess, bound):
@@ -203,10 +215,14 @@ class ProblemInstance:
         return self.H.cols
 
     def objective(self, x):
+        """The family's objective at x, or one value per row of a (rows, n) block."""
         if "lam" in self.params:
             return objective_cp(self.H, self.f, self.D, self.params["lam"], x)
         return objective_dy(self.H, self.f, self.D, self.params["lam1"],
                             self.params["lam2"], self.params["delta"], x)
+
+    # tells `hpe.iterate` to pass a whole block of trace rows in one call
+    objective.batched = True
 
     def lower_bound(self, x):
         """A lower bound on the optimal objective, from a dual point built at x."""

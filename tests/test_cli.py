@@ -166,6 +166,15 @@ class TestConfigFile:
         assert cfg.seed == 9
         assert cfg.experiment == "exp"
 
+    @pytest.mark.parametrize("methods, expected", [("hpe-cp,", ("hpe-cp",)),
+                                                   ("hpe-cp, ,implicit-cp", ("hpe-cp", "implicit-cp")),
+                                                   ("", ())])
+    def test_empty_method_items_dropped(self, tmp_path, methods, expected):
+        # an empty list is a reference-only run, as ExperimentConfig(methods=()) is
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"family = cp\nlam = 0.5\nkappa = 0.5\nmethods = {methods}\n")
+        assert config_from_file(path).methods == expected
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("family cp\n")

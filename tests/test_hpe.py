@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
 from hpesplit.hpe import (
+    OBJECTIVE_BLOCK,
     CertificationError,
     HpeConfig,
     RunTrace,
@@ -13,6 +16,7 @@ from hpesplit.hpe import (
 )
 from hpesplit.linalg import LinearMap, NumericalError
 from hpesplit.operators import soft_threshold
+from hpesplit.problems import make_cp_instance
 
 
 def dr_factor(n):
@@ -234,6 +238,100 @@ class TestIterate:
         with pytest.raises(NumericalError, match="nan-step: objective nan at iteration 2"):
             iterate(step, (np.zeros(3),), 5, objective=lambda x: float(x.sum()),
                     method="nan-step")
+
+
+def walk(k, state):
+    """A deterministic outer step whose primal point moves every iteration."""
+    x = np.cos(state[0] + k)
+    return (x,), StepRecord()
+
+
+class BlockObjective:
+    """An objective that takes blocks and records the shape of every call."""
+
+    batched = True
+
+    def __init__(self, nan_at=None):
+        self.shapes = []
+        self.nan_at = nan_at
+        self.seen = 0
+
+    def __call__(self, X):
+        self.shapes.append(X.shape)
+        values = np.sum(X * X, axis=1)
+        rows = np.arange(self.seen, self.seen + len(X))
+        values[rows == self.nan_at] = np.nan
+        self.seen += len(X)
+        return values
+
+
+class TestIterateBlocks:
+    """`iterate` evaluates the objective per block of `OBJECTIVE_BLOCK` rows."""
+
+    @pytest.mark.parametrize("iters, shapes", [(300, [(256, 4), (44, 4)]), (30, [(30, 4)])])
+    def test_blocks_give_the_per_row_values(self, iters, shapes):
+        objective = BlockObjective()
+        trace, _ = iterate(walk, (np.zeros(4),), iters, objective=objective,
+                           record=lambda state: state[0])
+        assert OBJECTIVE_BLOCK == 256
+        assert objective.shapes == shapes
+        per_row = [float(x @ x) for x in trace.iterates[1:]]
+        np.testing.assert_allclose(trace.objective, per_row, rtol=1e-14, atol=0)
+
+    def test_instance_objective_in_blocks_matches_per_row(self):
+        # wrapped as the benchmark's tracer wraps it, which keeps `batched`
+        inst = make_cp_instance(20, 20, seed=3, lam=0.2)
+        original = type(inst).objective
+        calls = []
+
+        @functools.wraps(original)
+        def traced(self, x):
+            calls.append(np.shape(x))
+            return original(self, x)
+
+        trace, _ = iterate(walk, (np.zeros(20),), 300,
+                           objective=traced.__get__(inst), record=lambda state: state[0])
+        assert calls == [(256, 20), (44, 20)]
+        per_row = [inst.objective(x) for x in trace.iterates[1:]]
+        np.testing.assert_allclose(trace.objective, per_row, rtol=1e-14, atol=0)
+
+    def test_no_rows_no_objective(self):
+        def never(x):
+            raise AssertionError("the objective of an empty run was evaluated")
+
+        trace, _ = iterate(walk, (np.zeros(4),), 0, objective=never)
+        assert len(trace) == 0
+
+    def test_non_finite_value_names_its_own_iteration(self):
+        objective = BlockObjective(nan_at=260)
+        with pytest.raises(NumericalError, match="blocks: objective nan at iteration 260$"):
+            iterate(walk, (np.zeros(4),), 300, objective=objective, method="blocks")
+
+    def test_failing_step_reports_the_buffered_non_finite_row_first(self):
+        def step(k, state):
+            if k == 5:
+                raise CertificationError("not certified", iteration=k)
+            return walk(k, state)
+
+        with pytest.raises(NumericalError, match="objective nan at iteration 3") as err:
+            iterate(step, (np.zeros(4),), 300, objective=BlockObjective(nan_at=3))
+        assert isinstance(err.value.__context__, CertificationError)
+        with pytest.raises(CertificationError):
+            iterate(step, (np.zeros(4),), 300, objective=BlockObjective())
+
+    def test_plain_callable_called_once_per_row_with_its_point(self):
+        points = []
+
+        def objective(x):
+            points.append(x)
+            return float(x.sum())
+
+        trace, _ = iterate(walk, (np.zeros(4),), 300, objective=objective,
+                           record=lambda state: state[0])
+        assert len(points) == 300
+        for x, row, value in zip(points, trace.iterates[1:], trace.objective):
+            np.testing.assert_array_equal(x, row)
+            assert value == float(row.sum())
 
 
 class TestFullReducedConsistency:

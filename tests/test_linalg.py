@@ -130,6 +130,41 @@ class TestFirstDifference:
                 == estimate_spectral_norm(LinearMap(first_difference_matrix(n))))
 
 
+class TestBlockProducts:
+    """Uncounted products of a (k, cols) block, one product per row."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: LinearMap(np.random.default_rng(0).standard_normal((20, 30))),
+        lambda: FirstDifference(30)], ids=["dense", "first-difference"])
+    def test_block_matches_rows_and_leaves_counters(self, make):
+        A = make()
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((5, A.cols))
+        Y = rng.standard_normal((5, A.rows))
+        forward, adjoint = A.apply_uncounted(X), A.apply_adjoint_uncounted(Y)
+        assert forward.shape == (5, A.rows) and adjoint.shape == (5, A.cols)
+        for i in range(5):
+            np.testing.assert_allclose(forward[i], A.apply_uncounted(X[i]), rtol=1e-14,
+                                       atol=1e-14)
+            np.testing.assert_allclose(adjoint[i], A.apply_adjoint_uncounted(Y[i]),
+                                       rtol=1e-14, atol=1e-14)
+        assert (A.forward_count, A.adjoint_count) == (0, 0)
+
+    def test_counted_products_reject_a_block(self):
+        for A in (LinearMap.zeros(3, 2), FirstDifference(3)):
+            with pytest.raises(ValueError, match="needs a vector of length"):
+                A.apply(np.ones((4, A.cols)))
+            with pytest.raises(ValueError, match="needs a vector of length"):
+                A.apply_adjoint(np.ones((4, A.rows)))
+            assert A.total_count == 0
+
+    def test_block_of_the_wrong_width_or_rank_rejected(self):
+        A = LinearMap.zeros(3, 2)
+        for bad in (np.ones((4, 3)), np.ones((2, 2, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="or a block of rows"):
+                A.apply_uncounted(bad)
+
+
 class TestStoppingRule:
     def test_needs_a_criterion(self):
         with pytest.raises(ValueError):

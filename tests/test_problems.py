@@ -227,3 +227,45 @@ class TestProblemInstance:
         clone = inst.fresh()
         assert clone.H.total_count == 0
         assert inst.H.total_count == 1
+
+
+def block_instances():
+    """CP, and DY with and without the Huber term, at the 200 x 200 and 100 x 400 shapes."""
+    for m, n in ((200, 200), (100, 400)):
+        yield make_cp_instance(m, n, seed=5, lam=0.3)
+        yield make_dy_instance(m, n, seed=5, lam1=0.05, lam2=0.1, delta=0.05)
+        yield make_dy_instance(m, n, seed=5, lam1=0.05, lam2=0.0, delta=0.05)
+
+
+class TestBlockObjective:
+    """`ProblemInstance.objective` on a (rows, n) block, as `hpe.iterate` calls it."""
+
+    @pytest.mark.parametrize("inst", list(block_instances()),
+                             ids=lambda inst: f"{sorted(inst.params)}-{inst.m}x{inst.n}"
+                             f"-lam2={inst.params.get('lam2')}")
+    def test_block_matches_rows(self, inst):
+        X = np.random.default_rng(inst.n).standard_normal((7, inst.n))
+        values = inst.objective(X)
+        rows = [inst.objective(x) for x in X]
+        assert values.shape == (7,)
+        np.testing.assert_allclose(values, rows, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(inst.objective(X[2:3]), rows[2:3], rtol=1e-14, atol=0)
+        assert (inst.H.total_count, inst.D.total_count) == (0, 0)
+
+    def test_vector_objective_unchanged(self):
+        # the 1-d values, spelled as before blocks existed, to the last bit
+        rng = np.random.default_rng(11)
+        cp = make_cp_instance(30, 40, seed=1, lam=0.3)
+        dy = make_dy_instance(30, 40, seed=1, lam1=0.05, lam2=0.1, delta=0.05)
+        for _ in range(5):
+            x = rng.standard_normal(40)
+            r = cp.H.apply_uncounted(x) - cp.f
+            old = 0.5 * float(r @ r) + 0.3 * float(np.abs(cp.D.apply_uncounted(x)).sum())
+            assert type(cp.objective(x)) is float and cp.objective(x) == old
+            r = dy.H.apply_uncounted(x) - dy.f
+            y = dy.D.apply_uncounted(x)
+            a = np.abs(y)
+            huber = float(np.sum(np.where(a <= 0.05, 0.5 * y * y, 0.05 * (a - 0.025))))
+            old = 0.5 * float(r @ r) + 0.05 * float(np.abs(x).sum()) + 0.1 * huber
+            assert type(dy.objective(x)) is float and dy.objective(x) == old
+
