@@ -42,8 +42,6 @@ from .problems import (
     ProblemInstance,
     SPECTRUM_KINDS,
     spectrum,
-    gen_illcond_matrix,
-    gen_diff_matrix,
     gen_signal_and_data,
     make_cp_instance,
     make_dy_instance,

@@ -100,6 +100,10 @@ class ExperimentConfig:
     emit_wall_times: bool = False
 
     def __post_init__(self):
+        # the name is the run's directory under the output root, so it must be one
+        name = self.experiment
+        if name in ("", ".", "..") or "/" in name or os.sep in name:
+            raise ValueError(f"experiment name {name!r} is not a directory name")
         if self.family not in FAMILY_KEYS:
             raise ValueError(f"unknown family {self.family!r}")
         self.methods = tuple(self.methods)

@@ -6,12 +6,13 @@ check
 
     ||v + u_tilde - u||_M  <=  sigma * ||u_tilde - u||_M
 
-holds in the seminorm of the preconditioner M (`certify` runs that
-accept/refine loop on a check the method supplies), and the step is then
-u <- u - v.  With an onto factorization M = C C* the DR and DY loops run in the
-smaller space of w = C* u (`reduced_hpe_run`).  `iterate` is the outer loop
-every runner shares, and `audit_invariants` checks a finished trace against the
-estimates the acceptance test implies.
+holds in the seminorm of the preconditioner M, and the step is then
+u <- u - v.  `certify` runs that accept/refine loop: it points a refinable
+resolvent (the oracle) at the step's target and refines until a check the
+method supplies passes.  With an onto factorization M = C C* the DR and DY
+loops run in the smaller space of w = C* u (`reduced_hpe_run`).  `iterate` is
+the outer loop every runner shares, and `audit_invariants` checks a finished
+trace against the estimates the acceptance test implies.
 """
 
 import math
@@ -49,10 +50,10 @@ class HpeConfig:
     def __post_init__(self):
         if not 0 <= self.sigma < 1:
             raise ValueError(f"sigma must be in [0, 1), got {self.sigma}")
-        if self.inner_cap < 1:
+        if not self.inner_cap >= 1:
             raise ValueError(f"inner_cap must be >= 1, got {self.inner_cap}")
-        if self.accept_atol < 0:
-            raise ValueError("accept_atol must be nonnegative")
+        if not self.accept_atol >= 0:
+            raise ValueError(f"accept_atol must be nonnegative, got {self.accept_atol}")
 
 
 class StepRecord(NamedTuple):
@@ -115,16 +116,18 @@ OBJECTIVE_BLOCK = 256
 
 
 def _write_objective(objective, block, trace, method):
-    """Evaluate the objective at each row of ``block`` (the primal points of the
-    trace's last ``len(block)`` rows) and write the values into those rows.
+    """Evaluate ``objective(block)`` on the primal points of the trace's last
+    ``len(block)`` rows and write its values into those rows.
 
-    An objective whose ``batched`` attribute is true is called once with the
-    whole block; any other is called once per row. The first value that is not
-    finite raises `NumericalError` naming its iteration.
+    The objective must return one value per row, or `ValueError` names the
+    method. The first value that is not finite raises `NumericalError` naming
+    its iteration.
     """
-    start = len(trace) - len(block)
-    values = objective(block) if getattr(objective, "batched", False) else map(objective, block)
-    for i, value in enumerate(values, start):
+    values = objective(block)
+    if np.shape(values) != (len(block),):
+        raise ValueError(f"{method}: objective gave shape {np.shape(values)} for a block "
+                         f"of {len(block)} rows; it must return one value per row")
+    for i, value in enumerate(values, len(trace) - len(block)):
         value = float(value)
         if not math.isfinite(value):
             raise NumericalError(f"{method}: objective {value} at iteration {trace.k[i]}")
@@ -151,13 +154,11 @@ def iterate(step, state, iters, objective=None, h_counter=None, record=None,
     iters : int
         Number of outer iterations.
     objective : callable, optional
-        ``objective(x) -> float`` recorded per iteration (NaN when absent). An
-        objective with a true ``batched`` attribute is instead called as
-        ``objective(block)`` on a (rows, n) block of points and returns one
-        value per row. A value that is not finite raises `NumericalError`
-        naming the method and its iteration. If a step raises, the rows
-        buffered so far are evaluated first, so an earlier non-finite value
-        is the error reported.
+        ``objective(block)`` maps a (rows, n) block of primal points to one
+        value per row; each row's value is recorded (NaN when absent). A
+        value that is not finite raises `NumericalError` naming the method and
+        its iteration. If a step raises, the rows buffered so far are
+        evaluated first, so an earlier non-finite value is the error reported.
     h_counter : callable, optional
         Returns the cumulative count of the dominant operator applications.
     record : callable, optional
@@ -202,12 +203,12 @@ def iterate(step, state, iters, objective=None, h_counter=None, record=None,
     return trace, state
 
 
-def certify(cfg, candidate, refine, check, scale, k, method):
+def certify(cfg, oracle, target, assemble, check, scale, k, method):
     """The accept/refine inner loop shared by every certified method.
 
-    Refines ``candidate`` with ``refine(candidate) -> candidate`` until
-    ``check(candidate) -> (lhs, rhs)`` gives lhs <= sigma * rhs + atol, where
-    atol = ``cfg.accept_atol * scale``.
+    Proposes ``assemble(*oracle.set_target(target))`` and then
+    ``assemble(*oracle.refine())`` until ``check(candidate) -> (lhs, rhs)``
+    gives lhs <= sigma * rhs + atol, where atol = ``cfg.accept_atol * scale``.
 
     Returns
     -------
@@ -215,56 +216,44 @@ def certify(cfg, candidate, refine, check, scale, k, method):
 
     Raises
     ------
+    NumericalError
+        When lhs or rhs is not finite; refining cannot repair that.
     CertificationError
         When ``cfg.inner_cap`` refinements do not produce an acceptable candidate.
     """
     atol = cfg.accept_atol * scale
+    candidate = assemble(*oracle.set_target(target))
     inner = 0
     while True:
         lhs, rhs = check(candidate)
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise NumericalError(f"{method}: iteration {k} check is not finite "
+                                 f"(lhs={lhs}, rhs={rhs})")
         if lhs <= cfg.sigma * rhs + atol:
             return candidate, lhs, rhs, inner, atol
         if inner >= cfg.inner_cap:
             raise CertificationError(
                 f"{method}: iteration {k} not certified after {inner} refinements "
                 f"(lhs={lhs:.6e}, sigma*rhs={cfg.sigma * rhs:.6e})", iteration=k)
-        candidate = refine(candidate)
+        candidate = assemble(*oracle.refine())
         inner += 1
 
 
-def reduced_hpe_run(produce, refine, k, w, cfg, method="reduced-hpe"):
+def reduced_hpe_run(oracle, assemble, k, w, cfg, method="reduced-hpe"):
     """One certified step of the reduced loop in the factor space w = C* u.
 
     The DR and DY methods step through here; CP certifies its own M-seminorm
-    check, since its preconditioner has no cheap onto factor.
+    check, since its preconditioner has no cheap onto factor. `certify` points
+    ``oracle`` at w, and ``assemble(candidate, witness) -> (u_tilde, z, s)``
+    builds the pair with C z in A(u_tilde): ``z`` is the reduced witness and
+    ``s = C* u_tilde``. The pair is accepted once
+    ||z + s - w|| <= sigma * ||s - w|| + atol; refining shrinks the left side.
 
-    Parameters
-    ----------
-    produce : callable
-        ``produce(k, w) -> (u_tilde, z, s)`` proposing a pair with
-        C z in A(u_tilde); ``z`` is the reduced witness and ``s = C* u_tilde``.
-    refine : callable
-        ``refine(k, w, pair) -> (u_tilde, z, s)`` improving the proposal so
-        that ||z + s - w|| shrinks; called until the check passes.
-    k : int
-        Outer iteration index, passed to the callbacks and named in errors.
-    w : ndarray
-        Current reduced iterate.
-    cfg : HpeConfig
-    method : str
-        Label used in error messages.
-
-    Returns
-    -------
-    (w - z, u_tilde, StepRecord) for the accepted pair.
-
-    Raises
-    ------
-    CertificationError
-        When ``cfg.inner_cap`` refinements do not produce an acceptable pair.
+    Returns (w - z, u_tilde, StepRecord) for the accepted pair, and raises as
+    `certify` does, naming ``method`` and the outer iteration ``k``.
     """
     (u_tilde, z, _), lhs, rhs, inner, atol = certify(
-        cfg, produce(k, w), lambda pair: refine(k, w, pair),
+        cfg, oracle, w, assemble,
         lambda pair: (float(np.linalg.norm(pair[1] + pair[2] - w)),
                       float(np.linalg.norm(pair[2] - w))),
         1.0 + float(np.linalg.norm(w)), k, method)

@@ -46,10 +46,6 @@ class LinearMap:
     def identity(cls, n, name="I"):
         return cls(np.eye(n), name=name)
 
-    @classmethod
-    def zeros(cls, rows, cols, name="0"):
-        return cls(np.zeros((rows, cols)), name=name)
-
     @property
     def rows(self):
         return self.shape[0]
@@ -155,7 +151,7 @@ class StoppingRule:
             raise ValueError("StoppingRule needs at least one criterion")
         if self.tol is not None and not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.cap is not None and self.cap < 1:
+        if self.cap is not None and not self.cap >= 1:
             raise ValueError(f"cap must be >= 1, got {self.cap}")
 
     @classmethod
@@ -245,7 +241,7 @@ def estimate_spectral_norm(op, tol=1e-6, max_iter=1000):
     benchmark counters. Warns and returns the best estimate if ``max_iter`` is
     exhausted before two consecutive estimates agree to relative ``tol``.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     rng = np.random.default_rng(0)
     v = rng.standard_normal(op.cols)

@@ -3,13 +3,14 @@
 Every runner defines one outer step and hands it to `hpe.iterate`, which owns
 the loop, the timing, the objective, the trace and the recorded iterates.
 The inexact methods (`eckstein_yao_run`, `inexact_cp_run`, `inexact_dy_run`)
-drive a refinable resolvent oracle for the hard term and stop its inner CG as
-soon as the relative-error check of `hpe.certify` passes: DR and DY through
-the reduced step `hpe.reduced_hpe_run`, CP with its own M-seminorm check.
-An oracle is anything with the `LsqResolvent` protocol: ``set_target(rhs) ->
-(candidate, witness)`` starting from a point predicted from the previous
-candidates and targets, and ``refine() -> (candidate, witness)`` for one
-improvement.
+hand a refinable resolvent oracle for the hard term to `hpe.certify`, with the
+step's target and an ``assemble`` that builds the rest of the step from the
+oracle's (candidate, witness) pair; `certify` refines until the relative-error
+check passes. DR and DY go through the reduced step `hpe.reduced_hpe_run`, CP
+through its own M-seminorm check. An oracle is anything with the
+`LsqResolvent` protocol: ``set_target(rhs) -> (candidate, witness)`` starting
+from a point predicted from the previous candidates and targets, and
+``refine() -> (candidate, witness)`` for one improvement.
 
 Baselines: the same primal-dual iteration with a fixed-tolerance inner solve
 (`implicit_cp_run`, `implicit_dy_run`), the fully dualized explicit variant
@@ -51,7 +52,7 @@ class CpParams:
         return cls(tau=1.0 / (2.0 * kappa), theta=kappa / 2.0, sigma=sigma, kappa=kappa)
 
     def validate_norm(self, norm_K):
-        if self.tau * self.theta * norm_K ** 2 > 1.0 + 1e-9:
+        if not self.tau * self.theta * norm_K ** 2 <= 1.0 + 1e-9:
             raise ValueError(
                 f"tau*theta*||K||^2 = {self.tau * self.theta * norm_K ** 2:.6f} exceeds 1")
 
@@ -102,12 +103,6 @@ def _counter(oracle):
     return lambda: 0
 
 
-def _oracle_callbacks(oracle, assemble):
-    """The produce/refine callbacks of `reduced_hpe_run` around a refinable oracle."""
-    return (lambda k, w: assemble(*oracle.set_target(w)),
-            lambda k, w, pair: assemble(*oracle.refine()))
-
-
 # ---------------------------------------------------------------------------
 # certified inexact methods
 # ---------------------------------------------------------------------------
@@ -128,7 +123,7 @@ def eckstein_yao_run(a1_oracle, j_a2, tau, sigma, w0, iters, inner_cap=200,
 
     `objective`, when given, is evaluated at x2.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     cfg = HpeConfig(sigma=sigma, inner_cap=inner_cap, accept_atol=accept_atol)
     crosscheck = 0.0
@@ -140,12 +135,11 @@ def eckstein_yao_run(a1_oracle, j_a2, tau, sigma, w0, iters, inner_cap=200,
         s = tau * a1 + x2
         return (x1, x2, a1, ta2), z, s
 
-    produce, refine = _oracle_callbacks(a1_oracle, assemble)
-
     def step(k, state):
         nonlocal crosscheck
         w = state[1]
-        w_next, (x1, x2, a1, ta2), rec = reduced_hpe_run(produce, refine, k, w, cfg, "hpe-dr")
+        w_next, (x1, x2, a1, ta2), rec = reduced_hpe_run(a1_oracle, assemble, k, w, cfg,
+                                                         "hpe-dr")
         gap = float(np.linalg.norm(w - (tau * a1 + ta2) - w_next))
         crosscheck = max(crosscheck, gap)
         if gap > 1e-10 * (1.0 + np.linalg.norm(w_next)):
@@ -199,8 +193,7 @@ def inexact_cp_run(a1_oracle, K, j_a2_inv, p, x0, y0, iters, inner_cap=200,
                     m_norm(x1 - x, yt - y, K.apply))
 
         (_, a, yt), lhs, rhs_norm, inner, atol = certify(
-            cfg, assemble(*a1_oracle.set_target(rhs)),
-            lambda pair: assemble(*a1_oracle.refine()), check,
+            cfg, a1_oracle, rhs, assemble, check,
             1.0 + np.linalg.norm(rhs) + np.linalg.norm(y), k, "hpe-cp")
         x_next = rhs - tau * a
         # read only by audit_invariants, so its K application is uncounted
@@ -236,10 +229,8 @@ def inexact_dy_run(a1_oracle, j_a2, b_apply, p, w0, iters, inner_cap=200,
         s = (alpha * x1 + x2) / (1.0 + alpha) + gamma * a1
         return (x1, x2), z, s
 
-    produce, refine = _oracle_callbacks(a1_oracle, assemble)
-
     def step(k, state):
-        w_next, (x1, x2), rec = reduced_hpe_run(produce, refine, k, state[1], cfg, "hpe-dy")
+        w_next, (x1, x2), rec = reduced_hpe_run(a1_oracle, assemble, k, state[1], cfg, "hpe-dy")
         return (x2, w_next, x1), rec
 
     w0 = np.array(w0, dtype=float)
@@ -308,7 +299,7 @@ def explicit_cp_run(H, f, D, lam, kappa, x0, u0, v0, iters, norm_K=None,
 
     with tau = 1/(||K|| kappa), theta = kappa/||K||, ||K||^2 <= ||H||^2 + ||D||^2.
     """
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     if norm_K is None:
         norm_K = float(np.sqrt(estimate_spectral_norm(H) ** 2 +

@@ -13,7 +13,7 @@ from .linalg import cg_steps
 
 def soft_threshold(x, eta):
     """Componentwise sign(x) * max(|x| - eta, 0); the prox of eta * ||.||_1."""
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError(f"threshold must be nonnegative, got {eta}")
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.maximum(np.abs(x) - eta, 0.0)
@@ -21,7 +21,7 @@ def soft_threshold(x, eta):
 
 def clip(x, lam):
     """Componentwise projection onto [-lam, lam]."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"clip level must be nonnegative, got {lam}")
     return np.minimum(np.maximum(np.asarray(x, dtype=float), -lam), lam)
 
@@ -29,7 +29,7 @@ def clip(x, lam):
 def huber_value(y, delta):
     """Sum of componentwise Huber penalties: quadratic inside [-delta, delta], linear
     outside. A 2-d block of vectors as rows gives one sum per row."""
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     a = np.abs(y)
@@ -45,7 +45,7 @@ def huber_value(y, delta):
 
 def huber_gradient(y, delta):
     """Gradient of `huber_value`; 1-Lipschitz, equal to y inside the quadratic region."""
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     y = np.asarray(y, dtype=float)
     return np.where(np.abs(y) <= delta, y, delta * np.sign(y))
@@ -68,7 +68,7 @@ class LsqResolvent:
     """
 
     def __init__(self, H, f, tau, x0=None):
-        if tau <= 0:
+        if not tau > 0:
             raise ValueError(f"tau must be positive, got {tau}")
         self.H = H
         self.f = np.asarray(f, dtype=float)
@@ -82,11 +82,6 @@ class LsqResolvent:
     @property
     def candidate(self):
         return self._x
-
-    @property
-    def residual_norm(self):
-        """||tau a + x - rhs||, the norm of the replaced CG residual."""
-        return float(np.sqrt(self._rs))
 
     @property
     def stalled(self):

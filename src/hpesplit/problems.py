@@ -17,6 +17,8 @@ from .linalg import FirstDifference, LinearMap
 from .operators import huber_gradient, huber_value
 
 SPECTRUM_KINDS = ("cosine", "power5")
+# interior breakpoints of the generated piecewise-constant signal
+JUMPS = 10
 
 
 def spectrum(kind, count):
@@ -59,7 +61,15 @@ class GramFactor:
 
 
 def gen_illcond_factors(m, n, kind="cosine", seed=0):
-    """`gen_illcond_matrix`'s map together with the `GramFactor` it was built from."""
+    """Random m x n map with prescribed singular value decay, deterministic per
+    seed, together with the `GramFactor` it was built from.
+
+    The decay formula is indexed over min(m, n) values; for the benchmark
+    shapes (m <= n) this is the stated 1 .. m range.  The smallest singular
+    value is analytically zero, so assembled-matrix condition numbers reflect
+    floating-point rounding (about 4.7e8 at m = n = 2000 for the cosine decay,
+    about 2.12e15 at m = 1000, n = 4000 for the power5 decay).
+    """
     if m < 2 or n < 2:
         raise ValueError(f"matrix dimensions must be at least 2, got {m} x {n}")
     rng = np.random.default_rng(seed)
@@ -75,40 +85,19 @@ def gen_illcond_factors(m, n, kind="cosine", seed=0):
     return LinearMap(H, name=f"H-{kind}-{m}x{n}"), GramFactor(V, sv)
 
 
-def gen_illcond_matrix(m, n, kind="cosine", seed=0):
-    """Random m x n matrix with prescribed singular value decay, deterministic per seed.
-
-    The decay formula is indexed over min(m, n) values; for the benchmark
-    shapes (m <= n) this is the stated 1 .. m range.  The smallest singular
-    value is analytically zero, so assembled-matrix condition numbers reflect
-    floating-point rounding (about 4.7e8 at m = n = 2000 for the cosine decay,
-    about 2.12e15 at m = 1000, n = 4000 for the power5 decay).
-    """
-    return gen_illcond_factors(m, n, kind=kind, seed=seed)[0]
-
-
-def gen_diff_matrix(n):
-    """(n-1) x n first-difference map; annihilates constants and has norm < 2."""
-    return FirstDifference(n)
-
-
-def gen_signal_and_data(H, seed, jumps=10, sparsity=0.5, noise_std=None):
+def gen_signal_and_data(H, seed, sparsity=0.5, noise_std=None):
     """Piecewise-constant ground truth and noisy data f = H x_true + noise.
 
-    ``jumps`` interior breakpoints split the signal into segments with Gaussian
-    levels; a ``sparsity`` fraction of the segments is zeroed.  When
-    ``noise_std`` is None it defaults to 0.05 * ||H x_true||_inf.  Returns
-    (x_true, f, noise_std_used).
+    ``JUMPS`` interior breakpoints (at most n - 1) split the signal into
+    segments with Gaussian levels; a ``sparsity`` fraction of the segments is
+    zeroed.  When ``noise_std`` is None it defaults to 0.05 * ||H x_true||_inf.
+    Returns (x_true, f, noise_std_used).
     """
-    if noise_std is not None and noise_std < 0:
+    if noise_std is not None and not noise_std >= 0:
         raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
     rng = np.random.default_rng(seed)
     n = H.cols
-    jumps = min(jumps, n - 1)
-    if jumps > 0:
-        breaks = np.sort(rng.choice(np.arange(1, n), size=jumps, replace=False))
-    else:
-        breaks = np.array([], dtype=int)
+    breaks = np.sort(rng.choice(np.arange(1, n), size=min(JUMPS, n - 1), replace=False))
     bounds = np.concatenate([[0], breaks, [n]])
     levels = rng.normal(0.0, 1.0, size=len(bounds) - 1)
     n_zero = int(round(sparsity * levels.size))
@@ -221,9 +210,6 @@ class ProblemInstance:
         return objective_dy(self.H, self.f, self.D, self.params["lam1"],
                             self.params["lam2"], self.params["delta"], x)
 
-    # tells `hpe.iterate` to pass a whole block of trace rows in one call
-    objective.batched = True
-
     def lower_bound(self, x):
         """A lower bound on the optimal objective, from a dual point built at x."""
         if "lam" in self.params:
@@ -240,7 +226,7 @@ def make_cp_instance(m, n, seed, lam, kind="cosine", sparsity=0.5, noise_std=Non
     """Instance of the data-fit plus total-variation family."""
     H, gram = gen_illcond_factors(m, n, kind=kind, seed=seed)
     x_true, f, _ = gen_signal_and_data(H, seed + 1, sparsity=sparsity, noise_std=noise_std)
-    return ProblemInstance(H, gen_diff_matrix(n), f, x_true, {"lam": lam}, gram)
+    return ProblemInstance(H, FirstDifference(n), f, x_true, {"lam": lam}, gram)
 
 
 def make_dy_instance(m, n, seed, lam1, lam2, delta, kind="cosine", sparsity=0.0,
@@ -248,5 +234,5 @@ def make_dy_instance(m, n, seed, lam1, lam2, delta, kind="cosine", sparsity=0.0,
     """Instance of the sparse plus smoothed-total-variation family."""
     H, gram = gen_illcond_factors(m, n, kind=kind, seed=seed)
     x_true, f, _ = gen_signal_and_data(H, seed + 1, sparsity=sparsity, noise_std=noise_std)
-    return ProblemInstance(H, gen_diff_matrix(n), f, x_true,
+    return ProblemInstance(H, FirstDifference(n), f, x_true,
                            {"lam1": lam1, "lam2": lam2, "delta": delta}, gram)

@@ -664,10 +664,17 @@ class TestMainCli:
         ("dy-run1", "lam1 = nan", "lam1 must be finite, got nan"),
         ("dy-run1", "lam1 = inf", "lam1 must be finite, got inf"),
         ("dy-run1", "lam2 = nan", "lam2 must be finite, got nan"),
+        ("cp1-run2", "experiment = ../escaped",
+         "experiment name '../escaped' is not a directory name"),
+        ("cp1-run2", "experiment =", "experiment name '' is not a directory name"),
+        ("cp1-run2", "experiment = .", "experiment name '.' is not a directory name"),
+        ("cp1-run2", "experiment = ..", "experiment name '..' is not a directory name"),
     ], ids=["sigma", "kappa", "gamma", "m", "seed", "kappa-on-dy", "gamma-on-cp",
             "ref_factor", "spectrum_kind", "lam", "lam1", "lam2", "sigma-not-a-number",
             "ref_factor-not-an-integer", "repeated-method", "out-below-a-file",
-            "kappa-nan", "lam-nan", "lam-inf", "lam1-nan", "lam1-inf", "lam2-nan"])
+            "kappa-nan", "lam-nan", "lam-inf", "lam1-nan", "lam1-inf", "lam2-nan",
+            "experiment-escapes-out", "experiment-empty", "experiment-dot",
+            "experiment-dotdot"])
     def test_bad_parameter_fails_before_any_work(self, tmp_path, capsys, name, setting,
                                                  message):
         # a regular file that an output directory cannot be made below
@@ -688,7 +695,7 @@ class TestMainCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
-        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "out").exists() and not (tmp_path / "escaped").exists()
 
     def test_module_entry_point_runs_without_warning(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

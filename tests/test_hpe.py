@@ -59,12 +59,24 @@ class ProxPathOracle:
         return x, a
 
 
-def make_dr_callbacks(prox1, prox2, tau, oracle=None):
-    """Wire the two-operator splitting into produce/refine callbacks.
+class ExactProxOracle:
+    """The exact resolvent behind the oracle protocol: its first proposal must pass."""
 
-    With `oracle` None the first resolvent is exact (the sigma = 0 case);
-    otherwise the oracle supplies the inexact (candidate, witness) pairs.
-    """
+    def __init__(self, prox, tau):
+        self.prox = prox
+        self.tau = tau
+
+    def set_target(self, target):
+        x = self.prox(target)
+        return x, (target - x) / self.tau
+
+    def refine(self):
+        raise AssertionError("an exact proposal must never need refinement")
+
+
+def dr_assemble(prox2, tau):
+    """The two-operator splitting's reduced pair (u_tilde, z, s), assembled from
+    the first resolvent's (candidate, witness)."""
 
     def assemble(x1, a1):
         x2 = prox2(x1 - tau * a1)
@@ -73,21 +85,12 @@ def make_dr_callbacks(prox1, prox2, tau, oracle=None):
         q = tau * a1 + 2 * x2 - x1
         return (x1, x2, q), z, s
 
-    def produce(k, w):
-        if oracle is None:
-            x1 = prox1(w)
-            a1 = (w - x1) / tau
-        else:
-            x1, a1 = oracle.set_target(w)
-        return assemble(x1, a1)
+    return assemble
 
-    def refine(k, w, pair):
-        if oracle is None:
-            raise AssertionError("exact produce should never need refinement")
-        x1, a1 = oracle.refine()
-        return assemble(x1, a1)
 
-    return produce, refine
+def decoupled(x, a):
+    """The reduced pair whose s is the candidate and z the witness."""
+    return x, a, x
 
 
 def classical_dr(prox1, prox2, tau, w0, iters):
@@ -107,20 +110,16 @@ def toy_proxes(tau):
     return prox1, prox2
 
 
-def run_reduced(produce, refine, w0, cfg, iters):
+def run_reduced(oracle, assemble, w0, cfg, iters):
     """Drive the reduced step with the shared outer loop, recording w^0 .. w^K."""
 
     def step(k, state):
-        w, u_tilde, rec = reduced_hpe_run(produce, refine, k, state[1], cfg)
+        w, u_tilde, rec = reduced_hpe_run(oracle, assemble, k, state[1], cfg)
         return (u_tilde, w), rec
 
     trace, _ = iterate(step, (None, np.array(w0, dtype=float)), iters,
                        record=lambda state: state[1], sigma=cfg.sigma)
     return trace
-
-
-def never_refine(*args):
-    raise AssertionError("an acceptable proposal must not be refined")
 
 
 class TestErrorCheck:
@@ -132,10 +131,10 @@ class TestErrorCheck:
         rng = np.random.default_rng(9)
         w = rng.integers(-5, 5, size=6).astype(float)
         s = rng.integers(-5, 5, size=6).astype(float)
-        produce = lambda k, w_: (None, w - s, s)
+        oracle = ExactProxOracle(lambda target: s, 1.0)  # witness w - s
         for sigma in (0.0, 0.5, 0.99):
             cfg = HpeConfig(sigma=sigma, accept_atol=0.0)
-            w_next, _, rec = reduced_hpe_run(produce, never_refine, 0, w, cfg)
+            w_next, _, rec = reduced_hpe_run(oracle, decoupled, 0, w, cfg)
             assert rec.inner == 0
             assert rec.lhs == 0.0
             np.testing.assert_array_equal(w_next, s)
@@ -143,26 +142,42 @@ class TestErrorCheck:
     def test_near_exact_decoupling_accepted_positive_sigma(self):
         rng = np.random.default_rng(3)
         w, s = rng.standard_normal((2, 6))
-        produce = lambda k, w_: (None, w - s, s)
-        _, _, rec = reduced_hpe_run(produce, never_refine, 0, w,
+        _, _, rec = reduced_hpe_run(ExactProxOracle(lambda target: s, 1.0), decoupled, 0, w,
                                     HpeConfig(sigma=0.5, accept_atol=0.0))
         assert rec.inner == 0
         assert rec.lhs <= 1e-14 * max(1.0, rec.rhs)
 
     def test_fixed_point_zero_over_zero_accepted(self):
         w = np.array([0.3, -1.2])
-        produce = lambda k, w_: (None, np.zeros(2), w)
-        w_next, _, rec = reduced_hpe_run(produce, never_refine, 0, w,
-                                         HpeConfig(sigma=0.0, accept_atol=0.0))
+        w_next, _, rec = reduced_hpe_run(ExactProxOracle(lambda target: target, 1.0),
+                                         decoupled, 0, w, HpeConfig(sigma=0.0, accept_atol=0.0))
         assert rec.lhs == 0.0 and rec.rhs == 0.0 and rec.inner == 0
         np.testing.assert_array_equal(w_next, w)
 
     def test_sigma_zero_rejects_inexact_witness(self):
         # without a rounding floor any positive lhs is refined until it vanishes
+        class Countdown:
+            def set_target(self, target):
+                self.c = target
+                return self.c, None
+
+            def refine(self):
+                self.c -= 1
+                return self.c, None
+
         cfg = HpeConfig(sigma=0.0, accept_atol=0.0)
         candidate, lhs, rhs, inner, atol = certify(
-            cfg, 3, lambda c: c - 1, lambda c: (float(c), 1.0), 1.0, 0, "demo")
+            cfg, Countdown(), 3, lambda c, _: c, lambda c: (float(c), 1.0), 1.0, 0, "demo")
         assert (candidate, lhs, rhs, inner, atol) == (0, 0.0, 1.0, 3, 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_check_raises_at_once(self, bad):
+        oracle = ProxPathOracle(lambda v: v, 1.0)
+        with pytest.raises(NumericalError,
+                           match=rf"demo: iteration 7 check is not finite \(lhs=1.0, rhs={bad}\)"):
+            certify(HpeConfig(sigma=0.5), oracle, np.ones(2), lambda x, a: x,
+                    lambda x: (1.0, bad), 1.0, 7, "demo")
+        assert oracle.p is not None and not oracle.p.any()  # never refined
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -175,10 +190,9 @@ class TestReducedRun:
     def test_sigma_zero_matches_reduced_ppp(self):
         tau = 0.8
         prox1, prox2 = toy_proxes(tau)
-        produce, refine = make_dr_callbacks(prox1, prox2, tau)
         cfg = HpeConfig(sigma=0.0)
         w0 = np.array([2.0, -1.0])
-        trace = run_reduced(produce, refine, w0, cfg, 25)
+        trace = run_reduced(ExactProxOracle(prox1, tau), dr_assemble(prox2, tau), w0, cfg, 25)
 
         w = w0.copy()
         for k in range(25):
@@ -192,9 +206,9 @@ class TestReducedRun:
         tau = 1.0
         prox1, prox2 = toy_proxes(tau)
         w_star = classical_dr(prox1, prox2, tau, np.array([0.7, 0.7]), 400)
-        produce, refine = make_dr_callbacks(prox1, prox2, tau)
         cfg = HpeConfig(sigma=0.0)
-        trace = run_reduced(produce, refine, w_star, cfg, 10)
+        trace = run_reduced(ExactProxOracle(prox1, tau), dr_assemble(prox2, tau), w_star,
+                            cfg, 10)
         for w_k in trace.iterates:
             np.testing.assert_allclose(w_k, w_star, atol=1e-10)
         assert max(trace.seminorm_residual) <= 1e-10
@@ -204,27 +218,24 @@ class TestReducedRun:
         w0 = np.array([1.3, -0.4])
         prox1, prox2 = toy_proxes(tau)
         w_star = classical_dr(prox1, prox2, tau, w0, 200)  # exact DR oracle
-        produce, refine = make_dr_callbacks(prox1, prox2, tau)
         cfg = HpeConfig(sigma=0.0)
-        trace = run_reduced(produce, refine, w0, cfg, 200)
+        trace = run_reduced(ExactProxOracle(prox1, tau), dr_assemble(prox2, tau), w0, cfg, 200)
         assert np.linalg.norm(trace.iterates[-1] - w_star) <= 1e-8
         assert trace.seminorm_residual[-1] <= 1e-8
 
     def test_certification_failure_names_iteration(self):
-        def produce(k, w):
-            return w, np.ones_like(w), w  # lhs stuck at ||1|| forever
-
-        def refine(k, w, pair):
-            return pair
-
+        # at rate 1 a refinement leaves the oracle's point, so lhs = ||p - w||, unchanged
+        prox1, prox2 = toy_proxes(1.0)
+        oracle = ProxPathOracle(prox1, 1.0, rate=1.0)
         cfg = HpeConfig(sigma=0.0, inner_cap=5)
         with pytest.raises(CertificationError) as err:
-            run_reduced(produce, refine, np.zeros(3), cfg, 2)
+            run_reduced(oracle, dr_assemble(prox2, 1.0), np.ones(3), cfg, 2)
         assert err.value.iteration == 0
 
     def test_empty_run(self):
-        produce, refine = make_dr_callbacks(*toy_proxes(1.0), 1.0)
-        trace = run_reduced(produce, refine, np.zeros(2), HpeConfig(), 0)
+        prox1, prox2 = toy_proxes(1.0)
+        trace = run_reduced(ExactProxOracle(prox1, 1.0), dr_assemble(prox2, 1.0), np.zeros(2),
+                            HpeConfig(), 0)
         assert len(trace) == 0
         assert len(trace.iterates) == 1
 
@@ -236,8 +247,14 @@ class TestIterate:
             return (x,), StepRecord()
 
         with pytest.raises(NumericalError, match="nan-step: objective nan at iteration 2"):
-            iterate(step, (np.zeros(3),), 5, objective=lambda x: float(x.sum()),
+            iterate(step, (np.zeros(3),), 5, objective=lambda X: X.sum(axis=1),
                     method="nan-step")
+
+    @pytest.mark.parametrize("objective", [lambda X: float(X.sum()), lambda X: X.sum(axis=0)])
+    def test_objective_must_give_one_value_per_row(self, objective):
+        with pytest.raises(ValueError, match="per-row: objective gave shape .* for a block of "
+                                             "5 rows; it must return one value per row"):
+            iterate(walk, (np.zeros(4),), 5, objective=objective, method="per-row")
 
 
 def walk(k, state):
@@ -248,8 +265,6 @@ def walk(k, state):
 
 class BlockObjective:
     """An objective that takes blocks and records the shape of every call."""
-
-    batched = True
 
     def __init__(self, nan_at=None):
         self.shapes = []
@@ -279,7 +294,7 @@ class TestIterateBlocks:
         np.testing.assert_allclose(trace.objective, per_row, rtol=1e-14, atol=0)
 
     def test_instance_objective_in_blocks_matches_per_row(self):
-        # wrapped as the benchmark's tracer wraps it, which keeps `batched`
+        # wrapped as the benchmark's tracer wraps it
         inst = make_cp_instance(20, 20, seed=3, lam=0.2)
         original = type(inst).objective
         calls = []
@@ -319,42 +334,26 @@ class TestIterateBlocks:
         with pytest.raises(CertificationError):
             iterate(step, (np.zeros(4),), 300, objective=BlockObjective())
 
-    def test_plain_callable_called_once_per_row_with_its_point(self):
-        points = []
-
-        def objective(x):
-            points.append(x)
-            return float(x.sum())
-
-        trace, _ = iterate(walk, (np.zeros(4),), 300, objective=objective,
-                           record=lambda state: state[0])
-        assert len(points) == 300
-        for x, row, value in zip(points, trace.iterates[1:], trace.objective):
-            np.testing.assert_array_equal(x, row)
-            assert value == float(row.sum())
-
 
 class TestFullReducedConsistency:
     def test_matched_callbacks_give_identical_sequences(self):
         n = 2
         tau = 0.9
         prox1, prox2 = toy_proxes(tau)
-        oracle_r = ProxPathOracle(prox1, tau, rate=0.25)
-        produce_r, refine_r = make_dr_callbacks(prox1, prox2, tau, oracle=oracle_r)
+        assemble = dr_assemble(prox2, tau)
         cfg = HpeConfig(sigma=0.6)
         w0 = np.array([0.4, 2.0])
-        trace = run_reduced(produce_r, refine_r, w0, cfg, 40)
+        trace = run_reduced(ProxPathOracle(prox1, tau, rate=0.25), assemble, w0, cfg, 40)
 
         # full-space loop with the check in the seminorm ||u||_M = ||C* u||
         # of M = C C*, and matched callbacks
         C = dr_factor(n)
         seminorm = lambda u: float(np.linalg.norm(C.apply_adjoint_uncounted(u)))
         oracle_f = ProxPathOracle(prox1, tau, rate=0.25)
-        produce_f, refine_f = make_dr_callbacks(prox1, prox2, tau, oracle=oracle_f)
         u = np.concatenate([w0, np.zeros(n), np.zeros(n)])  # C* u = w0
         for k in range(40):
             w = C.apply_adjoint_uncounted(u)
-            u_tilde, z, s = produce_f(k, w)
+            u_tilde, z, s = assemble(*oracle_f.set_target(w))
             inner = 0
             while True:
                 v = np.concatenate([z, np.zeros(n), np.zeros(n)])  # C* v = z, M v = C z
@@ -363,7 +362,7 @@ class TestFullReducedConsistency:
                 rhs = seminorm(full_u_tilde - u)
                 if lhs <= cfg.sigma * rhs:
                     break
-                u_tilde, z, s = refine_f(k, w, (u_tilde, z, s))
+                u_tilde, z, s = assemble(*oracle_f.refine())
                 inner += 1
                 assert inner < 200
             u = u - v
@@ -375,10 +374,9 @@ class TestFullReducedConsistency:
     def test_recovered_point_is_zero_of_operator(self):
         tau = 1.0
         prox1, prox2 = toy_proxes(tau)
-        oracle = ProxPathOracle(prox1, tau, rate=0.5)
-        produce, refine = make_dr_callbacks(prox1, prox2, tau, oracle=oracle)
         cfg = HpeConfig(sigma=0.3)
-        trace = run_reduced(produce, refine, np.array([0.9, -2.0]), cfg, 400)
+        trace = run_reduced(ProxPathOracle(prox1, tau, rate=0.5), dr_assemble(prox2, tau),
+                            np.array([0.9, -2.0]), cfg, 400)
         w_star = trace.iterates[-1]
         x = prox1(w_star)
         a1 = (w_star - x) / tau
@@ -392,10 +390,10 @@ class TestAudit:
     def run_toy(self, sigma, iters=60, rate=0.5, w0=(1.7, -0.8)):
         tau = 1.0
         prox1, prox2 = toy_proxes(tau)
-        oracle = None if sigma == 0.0 else ProxPathOracle(prox1, tau, rate=rate)
-        produce, refine = make_dr_callbacks(prox1, prox2, tau, oracle=oracle)
+        oracle = (ExactProxOracle(prox1, tau) if sigma == 0.0
+                  else ProxPathOracle(prox1, tau, rate=rate))
         cfg = HpeConfig(sigma=sigma)
-        return run_reduced(produce, refine, np.array(w0), cfg, iters)
+        return run_reduced(oracle, dr_assemble(prox2, tau), np.array(w0), cfg, iters)
 
     def test_exact_run_residual_equals_step(self):
         trace = self.run_toy(0.0)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hpesplit.hpe import audit_invariants
-from hpesplit.linalg import LinearMap
+from hpesplit.hpe import HpeConfig, audit_invariants
+from hpesplit.linalg import LinearMap, NumericalError, StoppingRule, estimate_spectral_norm
 from hpesplit.methods import (
     CpParams,
     DyParams,
@@ -15,8 +15,19 @@ from hpesplit.methods import (
     inexact_cp_run,
     inexact_dy_run,
 )
-from hpesplit.operators import LsqResolvent, clip, huber_gradient, soft_threshold
-from hpesplit.problems import SPECTRUM_KINDS, make_cp_instance, make_dy_instance
+from hpesplit.operators import (
+    LsqResolvent,
+    clip,
+    huber_gradient,
+    huber_value,
+    soft_threshold,
+)
+from hpesplit.problems import (
+    SPECTRUM_KINDS,
+    gen_signal_and_data,
+    make_cp_instance,
+    make_dy_instance,
+)
 
 
 class ExactProxOracle:
@@ -52,16 +63,18 @@ def make_instance(seed=0, m=12, n=12, scale=1.0):
 
 
 def cp_objective(Hm, f, Dm, lam):
-    return lambda x: 0.5 * np.linalg.norm(Hm @ x - f) ** 2 + lam * np.abs(Dm @ x).sum()
+    """The CP objective of each row of a block of points."""
+    return lambda X: (0.5 * np.sum((X @ Hm.T - f) ** 2, axis=1)
+                      + lam * np.abs(X @ Dm.T).sum(axis=1))
 
 
 def dy_objective(Hm, f, Dm, lam1, lam2, delta):
-    from hpesplit.operators import huber_value
+    """The DY objective of each row of a block of points."""
 
-    def obj(x):
-        val = 0.5 * np.linalg.norm(Hm @ x - f) ** 2 + lam1 * np.abs(x).sum()
+    def obj(X):
+        val = 0.5 * np.sum((X @ Hm.T - f) ** 2, axis=1) + lam1 * np.abs(X).sum(axis=1)
         if lam2:
-            val += lam2 * huber_value(Dm @ x, delta)
+            val += lam2 * huber_value(X @ Dm.T, delta)
         return val
 
     return obj
@@ -168,7 +181,7 @@ class TestInexactCp:
         x0 = np.zeros(n)
         y0 = np.linspace(-2, 2, n)
         oracle = LsqResolvent(LinearMap(Hm), f, p.tau, x0=x0)
-        K = LinearMap.zeros(n, n)
+        K = LinearMap(np.zeros((n, n)))
         res = inexact_cp_run(oracle, K, lambda v: clip(v, lam), p, x0, y0, 5,
                              record_invariants=True, inner_cap=1000)
         # y iterates under K = 0: y^{k+1} = J(y^k) = clip(y^k), then constant
@@ -181,6 +194,20 @@ class TestInexactCp:
             xy = res.trace.iterates[k + 1]
             assert np.linalg.norm(xy[n:] - y_expected) <= 1e-12
             assert np.linalg.norm(xy[:n] - x_expected) <= 1e-8
+
+    def test_non_finite_check_raises_before_any_refinement(self):
+        # a prox that returns NaN makes the check's rhs NaN; no refinement can
+        # repair that, so certify raises at once instead of exhausting inner_cap
+        n = 6
+        Hm, f = make_instance(seed=4, m=n, n=n)
+        p = CpParams.from_kappa(0.5, sigma=0.5)
+        H = LinearMap(Hm)
+        nan_prox = lambda v: np.full_like(v, np.nan)
+        with pytest.raises(NumericalError, match=r"^hpe-cp: iteration 0 check is not finite "
+                                                 r"\(lhs=[0-9.e+-]+, rhs=nan\)$"):
+            inexact_cp_run(LsqResolvent(H, f, p.tau), LinearMap(first_difference(n)),
+                           nan_prox, p, np.zeros(n), np.zeros(n - 1), 3)
+        assert H.total_count == 2  # the witness at the start point; no CG step
 
     def test_stepsize_invariant_enforced(self):
         n = 4
@@ -344,7 +371,7 @@ class TestImplicitCp:
         p = CpParams(tau=0.25, theta=0.5)
         x = np.linspace(-1, 1, n)
         y = np.linspace(0.5, -0.5, n - 1)
-        res = implicit_cp_run(LinearMap.zeros(n, n), np.zeros(n), LinearMap(Dm),
+        res = implicit_cp_run(LinearMap(np.zeros((n, n))), np.zeros(n), LinearMap(Dm),
                               lam=1e6, p=p, x0=x, y0=y, iters=4, record_invariants=True)
         for k in range(4):
             x_new = x - p.tau * (Dm.T @ y)
@@ -395,7 +422,7 @@ class TestImplicitCp:
 class TestExplicitCp:
     def test_zero_data_dual_decays_geometrically(self):
         n = 5
-        res = explicit_cp_run(LinearMap.zeros(n, n), np.zeros(n),
+        res = explicit_cp_run(LinearMap(np.zeros((n, n))), np.zeros(n),
                               LinearMap(first_difference(n)), lam=0.5, kappa=1.0,
                               x0=np.zeros(n), u0=np.ones(n), v0=np.zeros(n - 1),
                               iters=20, norm_K=2.0)
@@ -423,7 +450,7 @@ class TestCondatVu:
         Hm, f = make_instance(seed=16, m=n, n=n)
         normH = np.linalg.svd(Hm, compute_uv=False)[0]
         tau = 1.0 / normH ** 2
-        res = condat_vu_run(LinearMap(Hm), f, LinearMap.zeros(1, n), lam=5.0,
+        res = condat_vu_run(LinearMap(Hm), f, LinearMap(np.zeros((1, n))), lam=5.0,
                             tau=tau, theta=1e-6, x0=np.zeros(n), y0=np.zeros(1),
                             iters=50, record_invariants=True)
         x = np.zeros(n)
@@ -548,7 +575,7 @@ def run_each_method(name, iters):
     Hm, f = make_instance(seed=40, m=n, n=n)
     H, D = LinearMap(Hm), LinearMap(first_difference(n))
     x0, y0 = np.zeros(n), np.zeros(n - 1)
-    obj = lambda x: float(x @ x)
+    obj = lambda X: np.einsum("ij,ij->i", X, X)
     normH = np.linalg.svd(Hm, compute_uv=False)[0]
     cp = CpParams.from_kappa(0.5, sigma=0.5)
     dy = DyParams.from_beta(0.4, sigma=0.5)
@@ -642,11 +669,12 @@ class TestRefineMonotonicity:
         oracle = LsqResolvent(LinearMap(Hm), f, tau)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            oracle.set_target(rng.standard_normal(n))
-            prev = oracle.residual_norm
+            rhs = rng.standard_normal(n)
+            x, a = oracle.set_target(rhs)
+            prev = np.linalg.norm(tau * a + x - rhs)
             for _ in range(8):
-                oracle.refine()
-                cur = oracle.residual_norm
+                x, a = oracle.refine()
+                cur = np.linalg.norm(tau * a + x - rhs)
                 if prev > 1e-13:
                     assert cur < prev
                 prev = cur
@@ -703,3 +731,37 @@ class TestCrossMethodConsensus:
         ref = min(finals)
         for val in finals:
             assert val - ref <= 1e-6 * (1 + abs(ref))
+
+
+NAN = float("nan")
+
+
+class TestNanParameterGuards:
+    """Each guard is written so that a NaN parameter fails it, as a negative one does."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda H, f: clip(np.ones(2), NAN), "clip level must be nonnegative, got nan"),
+        (lambda H, f: soft_threshold(np.ones(2), NAN), "threshold must be nonnegative, got nan"),
+        (lambda H, f: huber_value(np.ones(2), NAN), "delta must be positive, got nan"),
+        (lambda H, f: huber_gradient(np.ones(2), NAN), "delta must be positive, got nan"),
+        (lambda H, f: LsqResolvent(H, f, NAN), "tau must be positive, got nan"),
+        (lambda H, f: eckstein_yao_run(LsqResolvent(H, f, 1.0), lambda v: v, NAN, 0.5,
+                                       np.zeros(4), 1), "tau must be positive, got nan"),
+        (lambda H, f: explicit_cp_run(H, f, H, 0.1, NAN, np.zeros(4), np.zeros(4),
+                                      np.zeros(4), 1, norm_K=1.0),
+         "kappa must be positive, got nan"),
+        (lambda H, f: HpeConfig(accept_atol=NAN), "accept_atol must be nonnegative, got nan"),
+        (lambda H, f: HpeConfig(inner_cap=NAN), "inner_cap must be >= 1, got nan"),
+        (lambda H, f: StoppingRule(cap=NAN), "cap must be >= 1, got nan"),
+        (lambda H, f: CpParams.from_kappa(0.5).validate_norm(NAN), "exceeds 1"),
+        (lambda H, f: estimate_spectral_norm(H, tol=NAN), "tol must be positive, got nan"),
+        (lambda H, f: gen_signal_and_data(H, 0, noise_std=NAN),
+         "noise_std must be nonnegative, got nan"),
+    ], ids=["clip", "soft_threshold", "huber_value", "huber_gradient", "LsqResolvent",
+            "eckstein_yao_run", "explicit_cp_run", "HpeConfig", "HpeConfig-inner_cap",
+            "StoppingRule", "validate_norm", "estimate_spectral_norm",
+            "gen_signal_and_data"])
+    def test_nan_rejected(self, call, message):
+        Hm, f = make_instance(seed=1, m=4, n=4)
+        with pytest.raises(ValueError, match=message):
+            call(LinearMap(Hm), f)

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from hpesplit.linalg import estimate_spectral_norm
+from hpesplit.linalg import FirstDifference, estimate_spectral_norm
 from hpesplit.problems import (
-    gen_diff_matrix,
     gen_illcond_factors,
-    gen_illcond_matrix,
     gen_signal_and_data,
     haar_orthonormal,
     make_cp_instance,
@@ -32,21 +30,21 @@ class TestSpectrum:
 
 class TestIllcondMatrix:
     def test_two_by_two_cosine_is_rank_one(self):
-        H = gen_illcond_matrix(2, 2, kind="cosine", seed=0)
+        H = gen_illcond_factors(2, 2, kind="cosine", seed=0)[0]
         sv = np.linalg.svd(H.as_matrix(), compute_uv=False)
         np.testing.assert_allclose(sv, [1.0, 0.0], atol=1e-14)
         assert np.linalg.matrix_rank(H.as_matrix(), tol=1e-12) == 1
 
     def test_spectrum_fidelity_desk_scale(self):
         m = 200
-        H = gen_illcond_matrix(m, m, kind="cosine", seed=3)
+        H = gen_illcond_factors(m, m, kind="cosine", seed=3)[0]
         sv = np.linalg.svd(H.as_matrix(), compute_uv=False)  # dense SVD oracle
         requested = spectrum("cosine", m)
         assert np.max(np.abs(sv[:-1] - requested[:-1])) <= 1e-10
         assert sv[-1] <= 1e-12
 
     def test_power5_rectangular(self):
-        H = gen_illcond_matrix(50, 200, kind="power5", seed=1)
+        H = gen_illcond_factors(50, 200, kind="power5", seed=1)[0]
         sv = np.linalg.svd(H.as_matrix(), compute_uv=False)
         requested = spectrum("power5", 50)
         assert np.max(np.abs(sv[:-1] - requested[:-1])) <= 1e-10
@@ -58,15 +56,15 @@ class TestIllcondMatrix:
             assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 1e-12
 
     def test_deterministic_per_seed(self):
-        A = gen_illcond_matrix(30, 40, kind="cosine", seed=11)
-        B = gen_illcond_matrix(30, 40, kind="cosine", seed=11)
+        A = gen_illcond_factors(30, 40, kind="cosine", seed=11)[0]
+        B = gen_illcond_factors(30, 40, kind="cosine", seed=11)[0]
         np.testing.assert_array_equal(A.as_matrix(), B.as_matrix())
-        C = gen_illcond_matrix(30, 40, kind="cosine", seed=12)
+        C = gen_illcond_factors(30, 40, kind="cosine", seed=12)[0]
         assert not np.array_equal(A.as_matrix(), C.as_matrix())
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            gen_illcond_matrix(1, 5)
+            gen_illcond_factors(1, 5)[0]
 
 
 class TestGramFactor:
@@ -76,7 +74,6 @@ class TestGramFactor:
         k = min(m, n)
         assert gram.V.shape == (n, k) and gram.V.flags.c_contiguous
         assert not gram.V.flags.writeable and not gram.s.flags.writeable
-        np.testing.assert_array_equal(H.as_matrix(), gen_illcond_matrix(m, n, kind, 4).as_matrix())
         np.testing.assert_array_equal(gram.s, spectrum(kind, k))
         assert np.max(np.abs(gram.V.T @ gram.V - np.eye(k))) <= 1e-12
         Hm = H.as_matrix()
@@ -103,16 +100,16 @@ class TestGramFactor:
 
 class TestDiffMatrix:
     def test_definition(self):
-        D = gen_diff_matrix(3)
+        D = FirstDifference(3)
         np.testing.assert_allclose(D.apply(np.array([1.0, 2.0, 4.0])), [1.0, 2.0])
 
     def test_constants_in_kernel(self):
-        D = gen_diff_matrix(17)
+        D = FirstDifference(17)
         np.testing.assert_allclose(D.apply(np.full(17, 3.7)), 0.0, atol=1e-14)
 
     def test_spectral_norm_matches_svd(self):
         n = 100
-        D = gen_diff_matrix(n)
+        D = FirstDifference(n)
         exact = np.linalg.svd(D.as_matrix(), compute_uv=False)[0]  # dense SVD oracle
         analytic = 2 * np.sin(np.pi * (n - 1) / (2 * n))
         assert exact == pytest.approx(analytic, rel=1e-12)
@@ -122,39 +119,32 @@ class TestDiffMatrix:
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
-            gen_diff_matrix(1)
+            FirstDifference(1)
 
 
 class TestSignalAndData:
     def test_zero_noise_exact_data(self):
-        H = gen_illcond_matrix(20, 20, seed=2)
+        H = gen_illcond_factors(20, 20, seed=2)[0]
         x_true, f, used = gen_signal_and_data(H, seed=5, noise_std=0.0)
         np.testing.assert_array_equal(f, H.apply_uncounted(x_true))
         assert used == 0.0
 
-    def test_no_jumps_constant_signal(self):
-        H = gen_illcond_matrix(10, 10, seed=2)
-        D = gen_diff_matrix(10)
-        x_true, _, _ = gen_signal_and_data(H, seed=5, jumps=0, sparsity=0.0)
-        assert np.all(x_true == x_true[0])
-        np.testing.assert_allclose(D.apply_uncounted(x_true), 0.0, atol=1e-14)
-
     def test_seeded_repeatability(self):
-        H = gen_illcond_matrix(25, 25, seed=4)
+        H = gen_illcond_factors(25, 25, seed=4)[0]
         a = gen_signal_and_data(H, seed=9)
         b = gen_signal_and_data(H, seed=9)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_default_noise_scale(self):
-        H = gen_illcond_matrix(30, 30, seed=6)
+        H = gen_illcond_factors(30, 30, seed=6)[0]
         x_true, _, used = gen_signal_and_data(H, seed=7)
         clean = H.apply_uncounted(x_true)
         assert used == pytest.approx(0.05 * np.max(np.abs(clean)))
 
     def test_sparsity_zeroes_segments(self):
-        H = gen_illcond_matrix(60, 60, seed=8)
-        x_true, _, _ = gen_signal_and_data(H, seed=3, jumps=9, sparsity=1.0)
+        H = gen_illcond_factors(60, 60, seed=8)[0]
+        x_true, _, _ = gen_signal_and_data(H, seed=3, sparsity=1.0)
         np.testing.assert_array_equal(x_true, 0.0)
 
 
