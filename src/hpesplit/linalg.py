@@ -124,6 +124,14 @@ class FirstDifference(LinearMap):
         mat.setflags(write=False)
         return mat
 
+    def top_right_singular_vector(self):
+        """The unit v with D^T D v = 4 cos^2(pi / (2n)) v, the top eigenvalue of the
+        path Laplacian D^T D: the DCT-II vector (-1)^j sin(pi (j + 1/2) / n)
+        (Strang, "The Discrete Cosine Transform", SIAM Review 1999)."""
+        j = np.arange(self.cols)
+        v = np.where(j % 2, -1.0, 1.0) * np.sin(np.pi * (j + 0.5) / self.cols)
+        return v / np.linalg.norm(v)
+
     def _forward(self, x):
         return x[..., 1:] - x[..., :-1]
 
@@ -234,25 +242,44 @@ def cg_solve(apply, b, x0=None, *, stop):
     return x, k
 
 
-def estimate_spectral_norm(op, tol=1e-6, max_iter=1000):
-    """Estimate ||op|| by power iteration on op^T op from a Gaussian start (seed 0).
+def estimate_spectral_norm(op, tol=1e-6, max_iter=1000, start=None):
+    """Estimate ||op|| by power iteration on op^T op, from a normalized copy of
+    ``start`` or, without one, from a Gaussian draw (seed 0).
 
-    Uses uncounted applications so that setup work does not pollute the
-    benchmark counters. Warns and returns the best estimate if ``max_iter`` is
-    exhausted before two consecutive estimates agree to relative ``tol``.
+    The estimate is a lower bound in exact arithmetic. It approaches ||op||
+    from any start with a component along a top right singular vector (slowly
+    when the top singular values cluster) and reaches it in two iterations
+    from a start at one. Uses uncounted applications so that setup work does
+    not pollute the benchmark counters. Rejects a bad ``tol``, ``max_iter`` or
+    ``start`` before any product, and raises `NumericalError` naming the
+    iteration whose product is not finite. Warns and returns the best estimate
+    if ``max_iter`` is exhausted before two consecutive estimates agree to
+    relative ``tol``.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(op.cols)
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        return 0.0
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if start is None:
+        v = np.random.default_rng(0).standard_normal(op.cols)
+        nv = np.linalg.norm(v)
+        if nv == 0:
+            return 0.0
+    else:
+        v = np.array(start, dtype=float)
+        if v.shape != (op.cols,):
+            raise ValueError(f"start for a {op.shape} map needs shape ({op.cols},), "
+                             f"got {v.shape}")
+        nv = np.linalg.norm(v)
+        if not 0 < nv < np.inf:
+            raise ValueError(f"start must be nonzero and finite, got norm {nv}")
     v /= nv
     est = 0.0
-    for _ in range(max_iter):
+    for k in range(1, max_iter + 1):
         w = op.apply_adjoint_uncounted(op.apply_uncounted(v))
         nw = float(np.linalg.norm(w))
+        if not np.isfinite(nw):
+            raise NumericalError(f"non-finite product at power iteration {k}")
         if nw == 0.0:
             return 0.0
         new_est = np.sqrt(nw)

@@ -51,6 +51,10 @@ class GramFactor:
     V: np.ndarray
     s: np.ndarray
 
+    def top_right_singular_vector(self):
+        """The column of V whose singular value is largest (a read-only view)."""
+        return self.V[:, np.argmax(self.s)]
+
     def resolvent(self, tau):
         """b -> (I + tau H^T H)^{-1} b = b - V((tau s^2 / (1 + tau s^2)) * V^T b),
         two products with V and no iteration."""

@@ -127,6 +127,10 @@ class TestNamedExperiments:
             entry = result.summary["methods"][method]
             assert entry["certification_failure"] is None
             assert entry["iterations"] == 8
+        # the generated H has top singular value 1; D's is 2 cos(pi / (2n))
+        norms = result.summary["norms"]
+        assert norms["H"] == pytest.approx(1.0, rel=1e-12)
+        assert norms["D"] == pytest.approx(2 * np.cos(np.pi / (2 * cfg.n)), rel=1e-12)
 
     def test_desk_scale_dims(self):
         assert (named_config("cp1-run1").m, named_config("cp1-run1").n) == (200, 200)

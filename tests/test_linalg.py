@@ -14,6 +14,14 @@ from hpesplit.linalg import (
 )
 
 
+def count_forward_products(monkeypatch, op):
+    """A list that grows by one on each of ``op``'s ``apply_uncounted`` calls."""
+    calls = []
+    original = op.apply_uncounted
+    monkeypatch.setattr(op, "apply_uncounted", lambda x: calls.append(1) or original(x))
+    return calls
+
+
 def first_difference_matrix(n):
     D = np.zeros((n - 1, n))
     for i in range(n - 1):
@@ -128,6 +136,23 @@ class TestFirstDifference:
     def test_norm_estimate_equals_the_dense_one(self, n):
         assert (estimate_spectral_norm(FirstDifference(n))
                 == estimate_spectral_norm(LinearMap(first_difference_matrix(n))))
+
+    @pytest.mark.parametrize("n", [2, 3, 200, 2000])
+    def test_top_right_singular_vector(self, n):
+        D = FirstDifference(n)
+        v = D.top_right_singular_vector()
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-15)
+        top = 4 * np.cos(np.pi / (2 * n)) ** 2
+        gram_v = D.apply_adjoint_uncounted(D.apply_uncounted(v))
+        assert np.max(np.abs(gram_v - top * v)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 200, 2000])
+    def test_norm_from_the_top_vector(self, n, monkeypatch):
+        D = FirstDifference(n)
+        calls = count_forward_products(monkeypatch, D)
+        est = estimate_spectral_norm(D, start=D.top_right_singular_vector())
+        assert est == pytest.approx(2 * np.cos(np.pi / (2 * n)), rel=1e-12)
+        assert len(calls) <= 3
 
 
 class TestBlockProducts:
@@ -309,3 +334,40 @@ class TestSpectralNorm:
         op = LinearMap(np.diag([2.0, 1.0]))
         estimate_spectral_norm(op)
         assert op.total_count == 0
+
+    def test_start_is_copied_and_normalized(self):
+        op = LinearMap(np.diag([3.0, 1.0]))
+        start = np.array([5.0, 0.0])
+        assert estimate_spectral_norm(op, start=start) == 3.0
+        np.testing.assert_array_equal(start, [5.0, 0.0])
+        start.setflags(write=False)
+        assert estimate_spectral_norm(op, start=start) == 3.0
+
+    def test_start_off_the_top_vector_still_converges(self):
+        op = LinearMap(np.diag([3.0, 1.0]))
+        assert estimate_spectral_norm(op, tol=1e-10, start=[0.1, 1.0]) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(max_iter=0), "max_iter must be >= 1, got 0"),
+        (dict(max_iter=-3), "max_iter must be >= 1, got -3"),
+        (dict(start=np.ones(3)), r"start for a \(2, 2\) map needs shape \(2,\), got \(3,\)"),
+        (dict(start=np.ones((2, 1))), r"needs shape \(2,\), got \(2, 1\)"),
+        (dict(start=np.zeros(2)), "start must be nonzero and finite, got norm 0.0"),
+        (dict(start=[np.nan, 1.0]), "start must be nonzero and finite, got norm nan"),
+        (dict(start=[np.inf, 1.0]), "start must be nonzero and finite, got norm inf"),
+    ], ids=["max_iter-zero", "max_iter-negative", "start-length", "start-2d", "start-zero",
+            "start-nan", "start-inf"])
+    def test_bad_input_rejected_before_any_product(self, kwargs, message, monkeypatch):
+        op = LinearMap(np.diag([2.0, 1.0]))
+        calls = count_forward_products(monkeypatch, op)
+        with pytest.raises(ValueError, match=message):
+            estimate_spectral_norm(op, **kwargs)
+        assert calls == []
+
+    @pytest.mark.parametrize("start", [None, [1.0, 0.0]])
+    def test_non_finite_product_raises_at_its_iteration(self, start, monkeypatch):
+        op = LinearMap(np.array([[1.0, 0.0], [np.nan, 1.0]]))
+        calls = count_forward_products(monkeypatch, op)
+        with pytest.raises(NumericalError, match="non-finite product at power iteration 1"):
+            estimate_spectral_norm(op, start=start)
+        assert len(calls) == 1

@@ -755,11 +755,13 @@ class TestNanParameterGuards:
         (lambda H, f: StoppingRule(cap=NAN), "cap must be >= 1, got nan"),
         (lambda H, f: CpParams.from_kappa(0.5).validate_norm(NAN), "exceeds 1"),
         (lambda H, f: estimate_spectral_norm(H, tol=NAN), "tol must be positive, got nan"),
+        (lambda H, f: estimate_spectral_norm(H, max_iter=NAN), "max_iter must be >= 1, got nan"),
         (lambda H, f: gen_signal_and_data(H, 0, noise_std=NAN),
          "noise_std must be nonnegative, got nan"),
     ], ids=["clip", "soft_threshold", "huber_value", "huber_gradient", "LsqResolvent",
             "eckstein_yao_run", "explicit_cp_run", "HpeConfig", "HpeConfig-inner_cap",
             "StoppingRule", "validate_norm", "estimate_spectral_norm",
+            "estimate_spectral_norm-max_iter",
             "gen_signal_and_data"])
     def test_nan_rejected(self, call, message):
         Hm, f = make_instance(seed=1, m=4, n=4)

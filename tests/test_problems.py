@@ -91,6 +91,16 @@ class TestGramFactor:
         residual = b - (x + tau * Hm.T @ (Hm @ x))
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("m, n, kind", [(200, 200, "cosine"), (100, 400, "power5")])
+    def test_norm_from_the_top_vector(self, m, n, kind, monkeypatch):
+        H, gram = gen_illcond_factors(m, n, kind=kind, seed=0)
+        calls = []
+        original = H.apply_uncounted
+        monkeypatch.setattr(H, "apply_uncounted", lambda x: calls.append(1) or original(x))
+        est = estimate_spectral_norm(H, start=gram.top_right_singular_vector())
+        assert est == pytest.approx(max(gram.s), rel=1e-12)
+        assert len(calls) <= 3
+
     def test_instances_carry_the_factor(self):
         inst = make_dy_instance(30, 30, seed=2, lam1=0.01, lam2=0.1, delta=0.01)
         _, gram = gen_illcond_factors(30, 30, seed=2)
