@@ -5,8 +5,9 @@ power iteration started at each map's known top right singular vector (a
 column of the generator's V; the DCT-II vector for D), so that both converge
 in two iterations, computes a reference objective
 and a dual lower bound from a run of the implicit baseline (its resolvent in
-closed form from the generator's Gram factor, checked by CG; for CP restarted
-at its checkpoints with an adaptive kappa) that stops once the two are within
+closed form from the generator's Gram factor, checked by CG; for DY
+accelerated by safeguarded Anderson mixing, for CP restarted at its
+checkpoints with an adaptive kappa) that stops once the two are within
 `REFERENCE_GAP` or after ``ref_factor * iters`` iterations, runs every
 requested method on fresh operator counters, writes one CSV per
 method plus a JSON summary and the manifest (the config itself), and audits
@@ -26,7 +27,9 @@ import os
 import platform
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import Optional, get_args
 
@@ -38,6 +41,7 @@ from .methods import (
     CpParams,
     DyParams,
     _huber_forward,
+    _implicit_dy_step,
     condat_vu_run,
     explicit_cp_run,
     fb_run,
@@ -66,6 +70,8 @@ GAP_THRESHOLD = 1e-6
 # dual bound; it checks both every REFERENCE_CHUNK iterations
 REFERENCE_GAP = 1e-10
 REFERENCE_CHUNK = 100
+# the DY reference's Anderson memory: how many past differences it mixes
+ANDERSON_MEMORY = 5
 # the CP reference restarts at a checkpoint whose gap is at most this times
 # the gap at its last restart, and adapts its kappa there
 RESTART_DECAY = 0.2
@@ -328,19 +334,22 @@ def run_method(name, cfg, inst, norms):
 
 
 def _reference_run(cfg, inst):
-    """The implicit baseline with every inner CG started at the closed-form
-    resolvent from the generator's Gram factor, stopped on its dual certificate.
+    """A run of the implicit baseline, stopped on its dual certificate.
 
-    CG still checks that start against its 1e-8 tolerance. The run goes in
-    chunks of `REFERENCE_CHUNK` iterations, each resuming from the last one's
-    state. After each chunk the objective and the dual lower bound are
-    evaluated once, at its last iterate. The run stops as soon as the lowest
-    objective minus the highest bound seen is at most `REFERENCE_GAP`
-    (``stop = "certificate"``), or after ``ref_factor * iters`` iterations
-    (``stop = "cap"``); with a cap of 0 both are evaluated at x0.
+    Every inner CG starts at the closed-form resolvent from the generator's
+    Gram factor and still checks it against its 1e-8 tolerance. The run goes
+    in chunks of `REFERENCE_CHUNK` iterations; after each chunk the objective
+    and the dual lower bound are evaluated once, at its last primal iterate.
+    The run stops as soon as the lowest objective minus the highest bound seen
+    is at most `REFERENCE_GAP` (``stop = "certificate"``), or after
+    ``ref_factor * iters`` iterations (``stop = "cap"``); with a cap of 0 both
+    are evaluated at x0. Both sides of the certificate are valid at any
+    point, so how the iterates are produced cannot make it wrong.
 
-    DY keeps the experiment's gamma, so its iterates are those of one
-    unchunked run. CP starts at the experiment's kappa and restarts at a
+    DY is accelerated: `_anderson_dy` iterates the DY map at the experiment's
+    gamma, an iteration is one evaluation of that map, and the entry sorts
+    the evaluations into ``plain_steps``, ``extrapolations`` and ``resets``.
+    CP is restarted: it starts at the experiment's kappa and restarts at a
     checkpoint whose gap (objective minus bound) is at most `RESTART_DECAY`
     times the gap at the last restart; the first checkpoint always restarts.
     A restart sets kappa <- sqrt(kappa * ||y - y_r|| / ||x - x_r||), with
@@ -363,15 +372,16 @@ def _reference_run(cfg, inst):
                                      cg_start=fresh.gram.resolvent(p.tau))
             return result.final_x, result.aux["y"]
     else:
-        # with cg_start set, DY's next step depends only on w
-        gamma = cfg.step_params().gamma
-        method, start = "implicit-dy", fresh.gram.resolvent(gamma)
-        state = (x0, x0)
+        method, state = "implicit-dy", (x0,)
+        step, params = _implicit_dy_step(fresh.H, fresh.f, fresh.D, cfg.lam1, cfg.lam2,
+                                         HUBER_DELTA, gamma=cfg.step_params().gamma)
+        counts = {"plain_steps": 0, "extrapolations": 0, "resets": 0}
+        primals = _anderson_dy(step, x0, fresh.gram.resolvent(params.gamma), counts)
 
         def advance(state, iters):
-            result = implicit_dy_run(fresh.H, fresh.f, fresh.D, cfg.lam1, cfg.lam2, HUBER_DELTA,
-                                     state[1], iters, gamma=gamma, cg_start=start)
-            return result.final_x, result.aux["w"]
+            for x2 in islice(primals, iters):
+                state = (x2,)
+            return state
 
     best, bound, done = np.inf, -np.inf, 0
     anchor, restart_gap = state, np.inf
@@ -397,7 +407,64 @@ def _reference_run(cfg, inst):
              "lower_bound": bound}
     if cfg.family == "cp":
         entry.update(kappa=kappa, restarts=restarts)
+    else:
+        entry.update(counts)
     return best, entry
+
+
+def _anderson_dy(step, w, start, counts):
+    """Yield the current primal iterate after each evaluation of the DY map
+    T(w) = ``step(w, start)[2]``, iterated from w with type-II Anderson
+    acceleration of memory `ANDERSON_MEMORY` (Walker & Ni 2011), safeguarded.
+
+    At the current point w with residual g = T(w) - w, and the differences
+    dT, dG of T and g between the last points kept, the extrapolated point is
+    T(w) - dT c, with c the least-squares solution of dG c = g from the
+    normal equations. It is kept only if its residual norm is at most
+    ||g||; otherwise the memory resets and the plain step T(w) is taken. A
+    singular system or a non-finite c also resets the memory and takes the
+    plain step. ``counts`` tallies every evaluation as one of
+    ``plain_steps``, ``extrapolations`` (extrapolated points kept) and
+    ``resets`` (extrapolated points rejected).
+    """
+    memory = deque(maxlen=ANDERSON_MEMORY)  # (dT, dG) pairs
+
+    def evaluate(w):
+        _, x2, tw, _ = step(w, start)
+        g = tw - w
+        return x2, tw, g, np.linalg.norm(g)
+
+    x2, tw, g, g_norm = evaluate(w)
+    counts["plain_steps"] += 1
+    yield x2
+    while True:
+        if memory:
+            dT, dG = (np.column_stack(columns) for columns in zip(*memory))
+            try:
+                coef = _anderson_coefficients(dG, g)
+            except np.linalg.LinAlgError:
+                coef = None
+            if coef is not None and np.all(np.isfinite(coef)):
+                x2_aa, tw_aa, g_aa, g_aa_norm = evaluate(tw - dT @ coef)
+                if g_aa_norm <= g_norm:
+                    counts["extrapolations"] += 1
+                    memory.append((tw_aa - tw, g_aa - g))
+                    x2, tw, g, g_norm = x2_aa, tw_aa, g_aa, g_aa_norm
+                    yield x2
+                    continue
+                counts["resets"] += 1
+                yield x2
+            memory.clear()
+        x2, tw_next, g_next, g_norm = evaluate(tw)
+        memory.append((tw_next - tw, g_next - g))
+        tw, g = tw_next, g_next
+        counts["plain_steps"] += 1
+        yield x2
+
+
+def _anderson_coefficients(dG, g):
+    """The least-squares solution c of dG c = g, from the normal equations."""
+    return np.linalg.solve(dG.T @ dG, dG.T @ g)
 
 
 def _environment():

@@ -359,38 +359,52 @@ def _huber_forward(D, lam2, delta, x):
     return lam2 * D.apply_adjoint(huber_gradient(D.apply(x), delta))
 
 
-def implicit_dy_run(H, f, D, lam1, lam2, delta, w0, iters, gamma=None, cg_tol=1e-8,
-                    record_invariants=False, objective=None, cg_start=None):
-    """Three-operator splitting with the data resolvent solved to a fixed CG tolerance.
+def _implicit_dy_step(H, f, D, lam1, lam2, delta, gamma=None, cg_tol=1e-8):
+    """The implicit baseline's Davis-Yin step and its `DyParams`.
 
-        x1 <- (I + gamma HtH)^{-1} (w + gamma Ht f)          [CG, warm start x1]
+    ``step(w, start) -> (x1, x2, w_next, cg_steps)`` is one step from w:
+
+        x1 <- (I + gamma HtH)^{-1} (w + gamma Ht f)          [CG started at start(b)]
         x2 <- soft(2 x1 - w - gamma*lam2*Dt grad_huber(D x1), gamma*lam1)
         w  <- w + (x2 - x1)/(1 + alpha)
 
-    with beta = 4*lam2 (floored when lam2 = 0), gamma = 1/beta by default, and
-    alpha = gamma*beta/(4 - gamma*beta). ``cg_start(b)``, when given, is where
-    CG starts for right-hand side b in place of x1; CG still checks it against
-    ``cg_tol``.
+    with b the right-hand side w + gamma Ht f, beta = 4*lam2 (floored when
+    lam2 = 0), gamma = 1/beta by default, and alpha = gamma*beta/(4 - gamma*beta).
+    CG checks whatever ``start(b)`` gives against ``cg_tol``.
     """
     # validates gamma in (0, 2/beta)
     params = DyParams.from_beta(max(4.0 * lam2, 1e-12), gamma=gamma)
     gamma, alpha = params.gamma, params.alpha
-    f = np.asarray(f, dtype=float)
-    w0 = np.array(w0, dtype=float)
-    htf = H.apply_adjoint(f)
+    htf = H.apply_adjoint(np.asarray(f, dtype=float))
 
-    def step(k, state):
-        _, w, x1 = state
+    def step(w, start):
         b = w + gamma * htf
-        x1, it = _lsq_cg_step(H, gamma, b, x1 if cg_start is None else cg_start(b), cg_tol)
+        x1, it = _lsq_cg_step(H, gamma, b, start(b), cg_tol)
         x2 = soft_threshold(2.0 * x1 - w - gamma * _huber_forward(D, lam2, delta, x1),
                             gamma * lam1)
-        return (x2, w + (x2 - x1) / (1.0 + alpha), x1), StepRecord(inner=it)
+        return x1, x2, w + (x2 - x1) / (1.0 + alpha), it
+
+    return step, params
+
+
+def implicit_dy_run(H, f, D, lam1, lam2, delta, w0, iters, gamma=None, cg_tol=1e-8,
+                    record_invariants=False, objective=None):
+    """Three-operator splitting with the data resolvent solved to a fixed CG
+    tolerance: `_implicit_dy_step` from w0, with CG warm-started at the previous x1.
+    """
+    dy_step, params = _implicit_dy_step(H, f, D, lam1, lam2, delta, gamma=gamma, cg_tol=cg_tol)
+    w0 = np.array(w0, dtype=float)
+
+    def step(k, state):
+        _, w, x_prev = state
+        x1, x2, w_next, it = dy_step(w, lambda b: x_prev)
+        return (x2, w_next, x1), StepRecord(inner=it)
 
     trace, (x2, w, x1) = iterate(step, (w0, w0, w0.copy()), iters, objective,
                                  lambda: H.total_count,
                                  itemgetter(1) if record_invariants else None, "implicit-dy")
-    return MethodResult(trace, x2, aux={"w": w, "x1": x1, "gamma": gamma, "alpha": alpha})
+    return MethodResult(trace, x2, aux={"w": w, "x1": x1, "gamma": params.gamma,
+                                        "alpha": params.alpha})
 
 
 def fb_run(H, f, D, lam1, lam2, delta, x0, iters, norm_H=None,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hpesplit import cli
+from hpesplit import cli, methods
 from hpesplit.cli import (
     NAMED_EXPERIMENTS,
     ExperimentConfig,
@@ -302,23 +302,27 @@ class TestReference:
         cfg = named_config(name, iters=10)
         implicit = "implicit-cp" if cfg.family == "cp" else "implicit-dy"
         cfg = replace(cfg, methods=(implicit,), out_dir=str(tmp_path))
-        attr = implicit.replace("-", "_") + "_run"
-        runner = getattr(cli, attr)
-        runs = []
+        solve, run = methods.cg_solve, cli.run_method
+        solves, first_requested = [], []  # solves as (start, solution, steps)
 
-        def spy(*args, **kwargs):
-            runs.append((kwargs.get("cg_start"), runner(*args, **kwargs)))
-            return runs[-1][1]
+        def spy_solve(apply, b, x0=None, **kwargs):
+            x, steps = solve(apply, b, x0=x0, **kwargs)
+            solves.append((x0, x, steps))
+            return x, steps
 
-        monkeypatch.setattr(cli, attr, spy)
-        result = run_experiment(cfg)
-        (ref_start, ref), (requested_start, _) = runs
-        assert ref_start is not None and len(ref.trace) == 100
-        assert max(ref.trace.inner_iterations) == 0
+        def spy_run(*args, **kwargs):
+            first_requested.append(len(solves))
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(methods, "cg_solve", spy_solve)
+        monkeypatch.setattr(cli, "run_method", spy_run)
+        run_experiment(cfg)
+        reference, requested = solves[:first_requested[0]], solves[first_requested[0]:]
+        assert reference and all(steps == 0 for *_, steps in reference)
         # the requested baseline starts CG at its previous iterate, as before
-        assert requested_start is None
-        cols = parse_trace_csv(result.summary["methods"][implicit]["trace"])
-        assert cols["inner_iters"][0] > 0
+        assert len(requested) == cfg.iters and requested[0][2] > 0
+        for (_, previous, _), (start, _, _) in zip(requested, requested[1:]):
+            assert start is previous
 
     @staticmethod
     def bound_config(family, kind, **overrides):
@@ -360,6 +364,47 @@ class TestReference:
         assert reference["iterations"] < reference["cap"]
         assert reference["iterations"] % cli.REFERENCE_CHUNK == 0
         assert reference["certified_gap"] <= cli.REFERENCE_GAP
+        assert reference["extrapolations"] > 0
+        assert (reference["plain_steps"] + reference["extrapolations"] + reference["resets"]
+                == reference["iterations"])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", ["dy-run1", "dy-run2", "dy-run3"])
+    def test_dy_reference_stops_on_its_certificate(self, name, seed, tmp_path):
+        cfg = named_config(name, iters=1000, seed=seed, methods=(), out_dir=str(tmp_path))
+        reference = run_experiment(cfg).summary["reference"]
+        assert reference["stop"] == "certificate"
+        assert reference["certified_gap"] <= cli.REFERENCE_GAP
+        assert reference["iterations"] < reference["cap"]
+
+    def test_memory_zero_is_the_plain_iteration(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "ANDERSON_MEMORY", 0)
+        cfg = named_config("dy-run1", iters=1000, methods=(), out_dir=str(tmp_path))
+        reference = run_experiment(cfg).summary["reference"]
+        assert reference["stop"] == "certificate"
+        assert reference["iterations"] == reference["plain_steps"] == 4000
+        assert reference["extrapolations"] == reference["resets"] == 0
+
+    @pytest.mark.parametrize("fault", ["nan", "singular"])
+    def test_bad_coefficients_take_the_plain_step(self, fault, tmp_path, monkeypatch):
+        cfg = named_config("dy-run1", m=30, n=30, iters=25, methods=(), out_dir=str(tmp_path))
+        monkeypatch.setattr(cli, "ANDERSON_MEMORY", 0)
+        plain = run_experiment(cfg).summary["reference"]
+        monkeypatch.setattr(cli, "ANDERSON_MEMORY", 5)
+        calls = []
+
+        def bad(dG, g):
+            calls.append(dG.shape[1])
+            if fault == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full(dG.shape[1], np.nan)
+
+        monkeypatch.setattr(cli, "_anderson_coefficients", bad)
+        reference = run_experiment(cfg).summary["reference"]
+        # every evaluation after the second asked for coefficients, from the one
+        # difference kept since the last reset
+        assert len(calls) == reference["iterations"] - 2 and set(calls) == {1}
+        assert reference == plain
 
     def test_reference_reports_its_cap(self, tmp_path):
         cfg = named_config("cp1-run2", m=20, n=20, iters=5, out_dir=str(tmp_path))
@@ -390,30 +435,14 @@ class TestReference:
             assert reference["objective"] == inst.objective(x0)
             assert reference["lower_bound"] == inst.lower_bound(x0)
 
-    def test_non_finite_checkpoint_objective_raises(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("name", ["cp1-run2", "dy-run1"])
+    def test_non_finite_checkpoint_objective_raises(self, name, tmp_path, monkeypatch):
         monkeypatch.setattr(ProblemInstance, "objective", lambda inst, x: float("nan"))
-        cfg = named_config("cp1-run2", m=20, n=20, iters=5, methods=(), out_dir=str(tmp_path))
-        with pytest.raises(NumericalError, match="implicit-cp reference: objective nan "
+        cfg = named_config(name, m=20, n=20, iters=5, methods=(), out_dir=str(tmp_path))
+        method = "implicit-cp" if cfg.family == "cp" else "implicit-dy"
+        with pytest.raises(NumericalError, match=f"{method} reference: objective nan "
                                                  "at iteration 50"):
             run_experiment(cfg)
-
-    @pytest.mark.parametrize("name", ["dy-run1"])
-    def test_chunks_reproduce_one_run(self, name, tmp_path, monkeypatch):
-        cfg = named_config(name, m=30, n=30, iters=25, methods=(), out_dir=str(tmp_path))
-        attr = "implicit_cp_run" if cfg.family == "cp" else "implicit_dy_run"
-        runner = getattr(cli, attr)
-        chunks = []
-
-        def spy(*args, **kwargs):
-            chunks.append((args, kwargs, runner(*args, **kwargs)))
-            return chunks[-1][2]
-
-        monkeypatch.setattr(cli, attr, spy)
-        reference = run_experiment(cfg).summary["reference"]
-        assert len(chunks) == 3 and reference["iterations"] == 250
-        args, kwargs, _ = chunks[0]
-        whole = runner(*args[:7], reference["iterations"], **kwargs)
-        assert np.array_equal(whole.final_x, chunks[-1][2].final_x)
 
     @staticmethod
     def spied_cp_reference(cfg, monkeypatch):
