@@ -27,7 +27,6 @@ import os
 import platform
 import sys
 import time
-from collections import deque
 from dataclasses import dataclass, fields, replace
 from itertools import islice
 from pathlib import Path
@@ -36,7 +35,7 @@ from typing import Optional, get_args
 import numpy as np
 
 from .hpe import CertificationError, RunTrace, audit_invariants
-from .linalg import NumericalError, estimate_spectral_norm
+from .linalg import NumericalError, estimate_spectral_norm, vector_norm
 from .methods import (
     CpParams,
     DyParams,
@@ -427,36 +426,59 @@ def _anderson_dy(step, w, start, counts):
     ``plain_steps``, ``extrapolations`` (extrapolated points kept) and
     ``resets`` (extrapolated points rejected).
     """
-    memory = deque(maxlen=ANDERSON_MEMORY)  # (dT, dG) pairs
+    # the memory, kept in place: column j of dT and dG holds the j-th oldest
+    # difference of T and of g, and the first `size` columns are in use
+    dT = np.empty((w.size, ANDERSON_MEMORY))
+    dG = np.empty_like(dT)
+    size = 0
+
+    def remember(d_t, d_g):
+        nonlocal size
+        if ANDERSON_MEMORY == 0:  # no memory: the plain iteration
+            return
+        if size == ANDERSON_MEMORY:
+            # forget the oldest pair: in row-major order, moving every entry back
+            # by one moves each column left; the last one is overwritten below
+            for d in (dT, dG):
+                flat = d.reshape(-1)
+                flat[:-1] = flat[1:]
+            size -= 1
+        dT[:, size] = d_t
+        dG[:, size] = d_g
+        size += 1
 
     def evaluate(w):
         _, x2, tw, _ = step(w, start)
         g = tw - w
-        return x2, tw, g, np.linalg.norm(g)
+        return x2, tw, g, vector_norm(g)
 
     x2, tw, g, g_norm = evaluate(w)
     counts["plain_steps"] += 1
     yield x2
     while True:
-        if memory:
-            dT, dG = (np.column_stack(columns) for columns in zip(*memory))
+        if size:
+            used_T, used_G = dT, dG
+            if size < ANDERSON_MEMORY:
+                # contiguous copies, so the products round as they do on a
+                # memory of `size` columns; on a strided view BLAS rounds otherwise
+                used_T, used_G = (np.ascontiguousarray(d[:, :size]) for d in (dT, dG))
             try:
-                coef = _anderson_coefficients(dG, g)
+                coef = _anderson_coefficients(used_G, g)
             except np.linalg.LinAlgError:
                 coef = None
             if coef is not None and np.all(np.isfinite(coef)):
-                x2_aa, tw_aa, g_aa, g_aa_norm = evaluate(tw - dT @ coef)
+                x2_aa, tw_aa, g_aa, g_aa_norm = evaluate(tw - used_T @ coef)
                 if g_aa_norm <= g_norm:
                     counts["extrapolations"] += 1
-                    memory.append((tw_aa - tw, g_aa - g))
+                    remember(tw_aa - tw, g_aa - g)
                     x2, tw, g, g_norm = x2_aa, tw_aa, g_aa, g_aa_norm
                     yield x2
                     continue
                 counts["resets"] += 1
                 yield x2
-            memory.clear()
+            size = 0
         x2, tw_next, g_next, g_norm = evaluate(tw)
-        memory.append((tw_next - tw, g_next - g))
+        remember(tw_next - tw, g_next - g)
         tw, g = tw_next, g_next
         counts["plain_steps"] += 1
         yield x2

@@ -22,7 +22,7 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import NumericalError
+from .linalg import NumericalError, vector_norm
 
 
 class CertificationError(RuntimeError):
@@ -254,10 +254,9 @@ def reduced_hpe_run(oracle, assemble, k, w, cfg, method="reduced-hpe"):
     """
     (u_tilde, z, _), lhs, rhs, inner, atol = certify(
         cfg, oracle, w, assemble,
-        lambda pair: (float(np.linalg.norm(pair[1] + pair[2] - w)),
-                      float(np.linalg.norm(pair[2] - w))),
-        1.0 + float(np.linalg.norm(w)), k, method)
-    return w - z, u_tilde, StepRecord(lhs, rhs, inner, float(np.linalg.norm(z)), atol)
+        lambda pair: (vector_norm(pair[1] + pair[2] - w), vector_norm(pair[2] - w)),
+        1.0 + vector_norm(w), k, method)
+    return w - z, u_tilde, StepRecord(lhs, rhs, inner, vector_norm(z), atol)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Linear algebra: counted linear maps, conjugate gradients, norm estimation."""
 
 import copy
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -167,22 +168,38 @@ class StoppingRule:
         return cls(tol=tol, cap=cap)
 
 
-def cg_steps(apply, x, r, residual=None):
+def vector_norm(v):
+    """||v|| of a 1-d float vector as a Python float: sqrt(v @ v), the same bits
+    as np.linalg.norm(v) without its overhead."""
+    return math.sqrt(float(v @ v))
+
+
+def cg_steps(x, r, *, apply=None, curvature=None, residual=None):
     """Conjugate gradients from ``x`` with residual ``r = b - A x``; each ``next()``
-    takes one step and yields ``(x, ||r||^2)``. The residual is updated by
-    recurrence, or recomputed as ``residual(x)`` when given (residual replacement,
-    which `LsqResolvent` uses to keep its witness exact). Ends once the residual
-    is exactly zero or the curvature is not positive.
+    takes one step and yields ``(x, ||r||^2)``. Ends once the residual is exactly
+    zero or the curvature is not positive. The system operator enters one of two
+    ways:
+
+    - ``apply`` (``v -> A v``): the residual is updated by the recurrence
+      ``r - alpha A p``.
+    - ``curvature`` (``p -> p^T A p``) with ``residual`` (``x -> b - A x``): the
+      residual is recomputed as ``residual(x)`` at every new iterate (residual
+      replacement), so CG needs ``A p`` only through its curvature.
+      `LsqResolvent` steps this way, keeping its witness exact and paying one
+      ``H`` product for the curvature in CGLS form.
     """
     rs = float(r @ r)
-    if not np.isfinite(rs):
+    if not math.isfinite(rs):
         raise NumericalError("non-finite residual at CG start")
     p = r
     k = 0
     while rs != 0.0:
-        ap = apply(p)
-        pap = float(p @ ap)
-        if not np.isfinite(pap):
+        if residual is None:
+            ap = apply(p)
+            pap = float(p @ ap)
+        else:
+            pap = float(curvature(p))
+        if not math.isfinite(pap):
             raise NumericalError(f"non-finite curvature at CG step {k}")
         if pap <= 0.0:
             # PSD operator with b in range: zero curvature means convergence
@@ -192,7 +209,7 @@ def cg_steps(apply, x, r, residual=None):
         x = x + alpha * p
         r = r - alpha * ap if residual is None else residual(x)
         rs_new = float(r @ r)
-        if not np.isfinite(rs_new):
+        if not math.isfinite(rs_new):
             raise NumericalError(f"non-finite residual at CG step {k}")
         k += 1
         yield x, rs_new
@@ -224,7 +241,7 @@ def cg_solve(apply, b, x0=None, *, stop):
     if x.shape != b.shape:
         raise ValueError(f"x0 shape {x.shape} does not match b shape {b.shape}")
 
-    b_norm = float(np.linalg.norm(b))
+    b_norm = vector_norm(b)
     threshold = None
     if stop.tol is not None:
         threshold = stop.tol * b_norm if b_norm > 0 else stop.tol
@@ -233,11 +250,11 @@ def cg_solve(apply, b, x0=None, *, stop):
     if r.shape != b.shape:
         raise ValueError("apply(x) shape does not match b")
     k = 0
-    if threshold is not None and np.sqrt(float(r @ r)) <= threshold:
+    if threshold is not None and vector_norm(r) <= threshold:
         return x, k
-    for x, rs in cg_steps(apply, x, r):
+    for x, rs in cg_steps(x, r, apply=apply):
         k += 1
-        if k == stop.cap or (threshold is not None and np.sqrt(rs) <= threshold):
+        if k == stop.cap or (threshold is not None and math.sqrt(rs) <= threshold):
             break
     return x, k
 

@@ -18,6 +18,7 @@ Baselines: the same primal-dual iteration with a fixed-tolerance inner solve
 plain forward-backward (`fb_run`).
 """
 
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional
@@ -25,7 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .hpe import HpeConfig, RunTrace, StepRecord, certify, iterate, reduced_hpe_run
-from .linalg import NumericalError, StoppingRule, cg_solve, estimate_spectral_norm
+from .linalg import (NumericalError, StoppingRule, cg_solve, estimate_spectral_norm,
+                     vector_norm)
 from .operators import clip, huber_gradient, soft_threshold
 
 
@@ -177,7 +179,7 @@ def inexact_cp_run(a1_oracle, K, j_a2_inv, p, x0, y0, iters, inner_cap=200,
 
     def m_norm(dx, dy, k_apply):
         quad = float(dx @ dx) / tau - 2.0 * float(k_apply(dx) @ dy) + float(dy @ dy) / theta
-        return np.sqrt(max(quad, 0.0))
+        return math.sqrt(max(quad, 0.0))
 
     def step(k, state):
         x, y = state
@@ -189,12 +191,12 @@ def inexact_cp_run(a1_oracle, K, j_a2_inv, p, x0, y0, iters, inner_cap=200,
 
         def check(pair):
             x1, a, yt = pair
-            return (float(np.linalg.norm(tau * a + x1 - rhs)) / np.sqrt(tau),
+            return (vector_norm(tau * a + x1 - rhs) / math.sqrt(tau),
                     m_norm(x1 - x, yt - y, K.apply))
 
         (_, a, yt), lhs, rhs_norm, inner, atol = certify(
             cfg, a1_oracle, rhs, assemble, check,
-            1.0 + np.linalg.norm(rhs) + np.linalg.norm(y), k, "hpe-cp")
+            1.0 + vector_norm(rhs) + vector_norm(y), k, "hpe-cp")
         x_next = rhs - tau * a
         # read only by audit_invariants, so its K application is uncounted
         residual = m_norm(x_next - x, yt - y, K.apply_uncounted)

@@ -6,9 +6,11 @@ resolvent as a sequence of CG improvements so an outer loop can stop it as
 soon as a relative-error check passes.
 """
 
+import math
+
 import numpy as np
 
-from .linalg import cg_steps
+from .linalg import cg_steps, vector_norm
 
 
 def soft_threshold(x, eta):
@@ -62,6 +64,11 @@ class LsqResolvent:
     residual only steers CG and the stall test; it is not the certificate,
     which each method computes from the exact (candidate, witness) pair.
 
+    With the residual replaced, CG needs the operator only through the
+    curvature p^T (I + tau HtH) p = ||p||^2 + tau ||H p||^2, one `H` product.
+    A refinement therefore costs 3 `H` applications (the curvature, then the
+    fresh witness's two), and a stalled one none.
+
     Each new target starts CG at a point predicted from the last candidate and
     the target's move (see `set_target`); that is the warm start used by the
     outer splitting loops. The witness is recomputed there as well.
@@ -86,11 +93,13 @@ class LsqResolvent:
     @property
     def stalled(self):
         """True once the residual sits at the rounding floor; refining is a no-op then."""
-        scale = 1.0 + np.linalg.norm(self._rhs) + np.linalg.norm(self._x)
-        return np.sqrt(self._rs) <= 1e-15 * scale
+        scale = 1.0 + vector_norm(self._rhs) + vector_norm(self._x)
+        return math.sqrt(self._rs) <= 1e-15 * scale
 
-    def _apply(self, p):
-        return p + self.tau * self.H.apply_adjoint(self.H.apply(p))
+    def _curvature(self, p):
+        """p^T (I + tau HtH) p in the CGLS form ||p||^2 + tau ||H p||^2."""
+        hp = self.H.apply(p)
+        return float(p @ p) + self.tau * float(hp @ hp)
 
     def _residual(self, x):
         """rhs - x - tau a, after moving the candidate to x and recomputing its witness a."""
@@ -135,7 +144,8 @@ class LsqResolvent:
         self._rhs = rhs
         res = self._residual(start)
         self._rs = float(res @ res)
-        self._steps = cg_steps(self._apply, self._x, res, residual=self._residual)
+        self._steps = cg_steps(self._x, res, curvature=self._curvature,
+                               residual=self._residual)
         return self._x, self._a
 
     def refine(self):

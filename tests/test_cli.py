@@ -2,7 +2,9 @@ import json
 import os
 import subprocess
 import sys
+from collections import deque
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from hpesplit.cli import (
 from hpesplit.hpe import RunTrace
 from hpesplit.linalg import NumericalError
 from hpesplit.methods import CpParams, implicit_cp_run
-from hpesplit.problems import ProblemInstance, make_cp_instance
+from hpesplit.problems import ProblemInstance, make_cp_instance, make_dy_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 HEADER = ("method,k,objective_gap,lhs,rhs,inner_iters,h_apps,wall_ms,accept_tol,residual,"
@@ -384,6 +386,54 @@ class TestReference:
         assert reference["stop"] == "certificate"
         assert reference["iterations"] == reference["plain_steps"] == 4000
         assert reference["extrapolations"] == reference["resets"] == 0
+
+    def test_memory_in_place_matches_a_rebuilt_memory(self):
+        # the memory is updated in place; the reference rebuilds dT and dG as
+        # contiguous n x k blocks from the kept pairs on every evaluation, and
+        # both must give the same iterates and counts, bit for bit
+        cfg = named_config("dy-run3", m=40, n=40, seed=3)
+        inst = make_dy_instance(cfg.m, cfg.n, cfg.seed, cfg.lam1, cfg.lam2, cli.HUBER_DELTA)
+        step, params = methods._implicit_dy_step(inst.H, inst.f, inst.D, cfg.lam1, cfg.lam2,
+                                                 cli.HUBER_DELTA)
+        start = inst.gram.resolvent(params.gamma)
+        w0 = np.zeros(cfg.n)
+
+        def rebuilt(counts):
+            memory = deque(maxlen=cli.ANDERSON_MEMORY)
+
+            def evaluate(w):
+                _, x2, tw, _ = step(w, start)
+                return x2, tw, tw - w, np.linalg.norm(tw - w)
+
+            x2, tw, g, g_norm = evaluate(w0)
+            counts["plain_steps"] += 1
+            yield x2
+            while True:
+                if memory:
+                    dT, dG = (np.column_stack(c) for c in zip(*memory))
+                    coef = np.linalg.solve(dG.T @ dG, dG.T @ g)
+                    x2_aa, tw_aa, g_aa, g_aa_norm = evaluate(tw - dT @ coef)
+                    if g_aa_norm <= g_norm:
+                        counts["extrapolations"] += 1
+                        memory.append((tw_aa - tw, g_aa - g))
+                        x2, tw, g, g_norm = x2_aa, tw_aa, g_aa, g_aa_norm
+                        yield x2
+                        continue
+                    counts["resets"] += 1
+                    yield x2
+                    memory.clear()
+                x2, tw_next, g_next, g_norm = evaluate(tw)
+                memory.append((tw_next - tw, g_next - g))
+                tw, g = tw_next, g_next
+                counts["plain_steps"] += 1
+                yield x2
+
+        in_place, reference = (dict.fromkeys(("plain_steps", "extrapolations", "resets"), 0)
+                               for _ in range(2))
+        pairs = zip(islice(cli._anderson_dy(step, w0, start, in_place), 400),
+                    islice(rebuilt(reference), 400))
+        assert all(np.array_equal(a, b) for a, b in pairs)
+        assert in_place == reference and reference["resets"] > 0
 
     @pytest.mark.parametrize("fault", ["nan", "singular"])
     def test_bad_coefficients_take_the_plain_step(self, fault, tmp_path, monkeypatch):

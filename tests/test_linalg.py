@@ -279,16 +279,21 @@ class TestCgSolve:
 
 class TestCgSteps:
     def test_zero_residual_yields_nothing(self):
-        assert list(cg_steps(lambda v: v, np.ones(4), np.zeros(4))) == []
+        assert list(cg_steps(np.ones(4), np.zeros(4), apply=lambda v: v)) == []
 
     def test_nonfinite_start_raises(self):
         r = np.array([1.0, np.nan, 0.0])
         with pytest.raises(NumericalError, match="at CG start"):
-            next(cg_steps(lambda v: v, np.zeros(3), r))
+            next(cg_steps(np.zeros(3), r, apply=lambda v: v))
 
     def test_nonfinite_curvature_raises(self):
         with pytest.raises(NumericalError, match="curvature at CG step 0"):
-            next(cg_steps(lambda v: v * np.inf, np.zeros(3), np.ones(3)))
+            next(cg_steps(np.zeros(3), np.ones(3), apply=lambda v: v * np.inf))
+
+    def test_nonfinite_curvature_raises_in_curvature_mode(self):
+        with pytest.raises(NumericalError, match="curvature at CG step 0"):
+            next(cg_steps(np.zeros(3), np.ones(3), curvature=lambda p: np.inf,
+                          residual=lambda x: np.ones(3) - x))
 
     def test_replaced_residual_matches_recurrence(self):
         rng = np.random.default_rng(5)
@@ -296,13 +301,34 @@ class TestCgSteps:
         A = G @ G.T + 20 * np.eye(20)
         b = rng.standard_normal(20)
         x0 = np.zeros(20)
-        recurrence = islice(cg_steps(lambda v: A @ v, x0, b - A @ x0), 10)
-        replaced = islice(cg_steps(lambda v: A @ v, x0, b - A @ x0,
+        recurrence = islice(cg_steps(x0, b - A @ x0, apply=lambda v: A @ v), 10)
+        replaced = islice(cg_steps(x0, b - A @ x0, curvature=lambda p: p @ (A @ p),
                                    residual=lambda x: b - A @ x), 10)
         pairs = list(zip(recurrence, replaced))
         assert len(pairs) == 10
         for (x_rec, _), (x_rep, _) in pairs:
             assert np.linalg.norm(x_rep - x_rec) <= 1e-10 * np.linalg.norm(x_rec)
+
+    def test_curvature_mode_matches_apply_mode(self):
+        # the resolvent system (I + tau HtH) x = b, SPD, with the curvature in the
+        # CGLS form ||p||^2 + tau ||H p||^2 against the product p + tau Ht H p
+        rng = np.random.default_rng(8)
+        Hm = rng.standard_normal((30, 30)) / np.sqrt(30)
+        tau = 0.7
+        A = np.eye(30) + tau * Hm.T @ Hm
+        b = rng.standard_normal(30)
+        x0 = rng.standard_normal(30)
+
+        def curvature(p):
+            hp = Hm @ p
+            return p @ p + tau * (hp @ hp)
+
+        apply_mode = list(islice(cg_steps(x0, b - A @ x0, apply=lambda v: A @ v), 12))
+        curvature_mode = list(islice(cg_steps(x0, b - A @ x0, curvature=curvature,
+                                              residual=lambda x: b - A @ x), 12))
+        assert len(apply_mode) == len(curvature_mode) == 12
+        for (x_app, _), (x_curv, _) in zip(apply_mode, curvature_mode):
+            assert np.linalg.norm(x_curv - x_app) <= 1e-12 * np.linalg.norm(x_app)
 
 
 class TestSpectralNorm:

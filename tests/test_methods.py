@@ -130,10 +130,11 @@ class TestEcksteinYao:
                                   tau, sigma, np.zeros(Hm.shape[1]), 30)
         h = result.trace.h_applications
         inner = result.trace.inner_iterations
-        # 2 for the witness at each target's start, then 4 per refinement
-        assert h[0] == 2 + 4 * inner[0]
+        # 2 for the witness at each target's start, then 3 per refinement: 1 for
+        # the CG curvature and 2 for the fresh witness
+        assert h[0] == 2 + 3 * inner[0]
         for k in range(1, len(h)):
-            assert h[k] - h[k - 1] == 2 + 4 * inner[k]
+            assert h[k] - h[k - 1] == 2 + 3 * inner[k]
 
 
 class TestInexactCp:
@@ -239,9 +240,9 @@ class TestInexactCp:
                              np.zeros(n), np.zeros(n - 1), 25)
         h = res.trace.h_applications
         inner = res.trace.inner_iterations
-        assert h[0] == 2 + 4 * inner[0]
+        assert h[0] == 2 + 3 * inner[0]
         for k in range(1, len(h)):
-            assert h[k] - h[k - 1] == 2 + 4 * inner[k]
+            assert h[k] - h[k - 1] == 2 + 3 * inner[k]
 
     def test_d_counts_exclude_instrumentation(self):
         # per outer step: Kt y once, then K in the dual candidate and K in the
@@ -358,9 +359,9 @@ class TestInexactDy:
                              p, np.zeros(n), 25)
         h = res.trace.h_applications
         inner = res.trace.inner_iterations
-        assert h[0] == 2 + 4 * inner[0]
+        assert h[0] == 2 + 3 * inner[0]
         for k in range(1, len(h)):
-            assert h[k] - h[k - 1] == 2 + 4 * inner[k]
+            assert h[k] - h[k - 1] == 2 + 3 * inner[k]
 
 
 class TestImplicitCp:

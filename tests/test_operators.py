@@ -163,8 +163,19 @@ class TestLsqResolventOracle:
         oracle = LsqResolvent(H, f, tau)
         oracle.set_target(rhs)            # witness recompute: 2
         assert H.total_count - before == 2
-        oracle.refine()                   # CG matvec 2 + witness recompute 2
-        assert H.total_count - before == 6
+        oracle.refine()                   # CG curvature 1 + witness recompute 2
+        assert H.total_count - before == 5
+
+    def test_witness_equals_a_fresh_product_after_every_refine(self):
+        # bit for bit: the witness is recomputed from its candidate, never
+        # carried along by a recurrence
+        H, Hm, f, rhs, tau, _ = self.setup_problem()
+        fresh = LinearMap(Hm)
+        oracle = LsqResolvent(H, f, tau)
+        oracle.set_target(rhs)
+        for _ in range(H.cols):
+            x, a = oracle.refine()
+            assert np.array_equal(a, fresh.apply_adjoint(fresh.apply(x) - f))
 
     def test_predicted_start_recomputes_the_witness(self):
         H, Hm, f, rhs, tau, _ = self.setup_problem()
