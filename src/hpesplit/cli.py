@@ -4,11 +4,11 @@
 power iteration started at each map's known top right singular vector (a
 column of the generator's V; the DCT-II vector for D), so that both converge
 in two iterations, computes a reference objective
-and a dual lower bound from a run of the implicit baseline (its resolvent in
-closed form from the generator's Gram factor, checked by CG; for DY
-accelerated by safeguarded Anderson mixing, for CP restarted at its
-checkpoints with an adaptive kappa) that stops once the two are within
-`REFERENCE_GAP` or after ``ref_factor * iters`` iterations, runs every
+and a dual lower bound by iterating the implicit baseline's own step without a
+trace (its resolvent in closed form from the generator's Gram factor, checked
+by CG; for DY accelerated by safeguarded Anderson mixing, for CP restarted
+with an adaptive kappa) until the two are within `REFERENCE_GAP` or for
+``ref_factor * iters`` steps, runs every
 requested method on fresh operator counters, writes one CSV per
 method plus a JSON summary and the manifest (the config itself), and audits
 the certified methods' traces.
@@ -28,7 +28,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, fields, replace
-from itertools import islice
+from itertools import chain
 from pathlib import Path
 from typing import Optional, get_args
 
@@ -40,6 +40,7 @@ from .methods import (
     CpParams,
     DyParams,
     _huber_forward,
+    _implicit_cp_step,
     _implicit_dy_step,
     condat_vu_run,
     explicit_cp_run,
@@ -333,85 +334,77 @@ def run_method(name, cfg, inst, norms):
 
 
 def _reference_run(cfg, inst):
-    """A run of the implicit baseline, stopped on its dual certificate.
+    """The implicit baseline's step, iterated until its dual certificate closes.
 
-    Every inner CG starts at the closed-form resolvent from the generator's
-    Gram factor and still checks it against its 1e-8 tolerance. The run goes
-    in chunks of `REFERENCE_CHUNK` iterations; after each chunk the objective
-    and the dual lower bound are evaluated once, at its last primal iterate.
-    The run stops as soon as the lowest objective minus the highest bound seen
-    is at most `REFERENCE_GAP` (``stop = "certificate"``), or after
-    ``ref_factor * iters`` iterations (``stop = "cap"``); with a cap of 0 both
-    are evaluated at x0. Both sides of the certificate are valid at any
-    point, so how the iterates are produced cannot make it wrong.
-
-    DY is accelerated: `_anderson_dy` iterates the DY map at the experiment's
-    gamma, an iteration is one evaluation of that map, and the entry sorts
-    the evaluations into ``plain_steps``, ``extrapolations`` and ``resets``.
-    CP is restarted: it starts at the experiment's kappa and restarts at a
-    checkpoint whose gap (objective minus bound) is at most `RESTART_DECAY`
-    times the gap at the last restart; the first checkpoint always restarts.
-    A restart sets kappa <- sqrt(kappa * ||y - y_r|| / ||x - x_r||), with
-    (x_r, y_r) the iterate at the last restart (PDLP's primal weight), and
-    continues from the current iterate. Returns the lowest objective and the
-    summary's reference entry; the run's trace is not kept.
-    """
+    The family's stream (`_restarted_cp`, `_anderson_dy`) yields the primal iterate
+    after each step, every CG started at the Gram factor's closed-form resolvent
+    and checked at 1e-8. Every `REFERENCE_CHUNK` steps the objective and the dual
+    bound are evaluated there once, and their gap goes with the next step. It stops
+    once the lowest objective minus the highest bound is at most `REFERENCE_GAP`
+    (``stop = "certificate"``) or after ``ref_factor * iters`` steps (``"cap"``; at
+    0, at x0). Returns the lowest objective and the summary's reference entry."""
     fresh = inst.fresh()
     cap = cfg.iters * cfg.ref_factor
     x0 = np.zeros(fresh.n)
-    kappa, restarts = cfg.kappa, 0  # CP only
-    # advance(state, iters) -> state, where state[0] is the primal iterate
+    entry = {"cap": cap}
     if cfg.family == "cp":
-        method = "implicit-cp"
-        state = (x0, np.zeros(fresh.D.rows))
-
-        def advance(state, iters):
-            p = CpParams.from_kappa(kappa)
-            result = implicit_cp_run(fresh.H, fresh.f, fresh.D, cfg.lam, p, *state, iters,
-                                     cg_start=fresh.gram.resolvent(p.tau))
-            return result.final_x, result.aux["y"]
+        entry.update(method="implicit-cp", kappa=cfg.kappa, restarts=0)
+        stream = _restarted_cp(fresh, cfg.lam, x0, entry)
     else:
-        method, state = "implicit-dy", (x0,)
-        step, params = _implicit_dy_step(fresh.H, fresh.f, fresh.D, cfg.lam1, cfg.lam2,
-                                         HUBER_DELTA, gamma=cfg.step_params().gamma)
-        counts = {"plain_steps": 0, "extrapolations": 0, "resets": 0}
-        primals = _anderson_dy(step, x0, fresh.gram.resolvent(params.gamma), counts)
+        entry.update(method="implicit-dy", plain_steps=0, extrapolations=0, resets=0)
+        p = cfg.step_params()
+        step = _implicit_dy_step(fresh.H, fresh.f, fresh.D, cfg.lam1, cfg.lam2, HUBER_DELTA, p)
+        stream = _anderson_dy(step, x0, fresh.gram.resolvent(p.gamma), entry)
 
-        def advance(state, iters):
-            for x2 in islice(primals, iters):
-                state = (x2,)
-            return state
-
-    best, bound, done = np.inf, -np.inf, 0
-    anchor, restart_gap = state, np.inf
-    for end in [*range(REFERENCE_CHUNK, cap, REFERENCE_CHUNK), cap]:
-        state = advance(state, end - done)
+    best, bound, done, x, gap = np.inf, -np.inf, 0, x0, None
+    # the checkpoints come lazily: the cap has no upper bound
+    for end in chain(range(REFERENCE_CHUNK, cap, REFERENCE_CHUNK), (cap,)):
+        for _ in range(end - done):
+            x, gap = stream.send(gap), None
         done = end
-        objective = inst.objective(state[0])
+        objective = inst.objective(x)
         if not np.isfinite(objective):
-            raise NumericalError(f"{method} reference: objective {objective} "
+            raise NumericalError(f"{entry['method']} reference: objective {objective} "
                                  f"at iteration {done}")
-        lower = inst.lower_bound(state[0])
+        lower = inst.lower_bound(x)
         best, bound = min(best, objective), max(bound, lower)
         if best - bound <= REFERENCE_GAP:
             break
-        if cfg.family == "cp" and done < cap and objective - lower <= RESTART_DECAY * restart_gap:
-            dx = np.linalg.norm(state[0] - anchor[0])
-            dy = np.linalg.norm(state[1] - anchor[1])
-            if dx > 0 and dy > 0:
-                kappa = float(np.sqrt(kappa * dy / dx))
-            anchor, restart_gap, restarts = state, objective - lower, restarts + 1
+        gap = objective - lower
     stop = "certificate" if best - bound <= REFERENCE_GAP else "cap"
-    entry = {"method": method, "iterations": done, "cap": cap, "stop": stop,
-             "lower_bound": bound}
-    if cfg.family == "cp":
-        entry.update(kappa=kappa, restarts=restarts)
-    else:
-        entry.update(counts)
+    entry.update(iterations=done, stop=stop, lower_bound=bound)
     return best, entry
 
 
-def _anderson_dy(step, w, start, counts):
+def _restarted_cp(inst, lam, x0, entry):
+    """Yield the primal iterate after each `implicit-cp` step from (x0, 0) at
+    ``entry["kappa"]``, restarted as PDLP is (Applegate, Hinder, Lu & Lubin 2023).
+
+    A gap sent with a step (``gap = yield x``) restarts the run if it is at most
+    `RESTART_DECAY` times the gap at the last restart (the first always does):
+    kappa <- sqrt(kappa * ||y - y_r|| / ||x - x_r||), (x_r, y_r) the iterate at
+    the last restart, unless a norm is 0, and the run goes on from the current
+    iterate. ``entry`` keeps ``kappa`` and ``restarts``.
+    """
+    state = anchor = (x0, np.zeros(inst.D.rows))
+    restart_gap = np.inf
+    while True:
+        p = CpParams.from_kappa(entry["kappa"])
+        step = _implicit_cp_step(inst.H, inst.f, inst.D, lam, p)
+        start = inst.gram.resolvent(p.tau)
+        gap = None
+        while gap is None or not gap <= RESTART_DECAY * restart_gap:
+            state, _ = step(state, start)
+            gap = yield state[0]
+        dx = np.linalg.norm(state[0] - anchor[0])
+        dy = np.linalg.norm(state[1] - anchor[1])
+        if dx > 0 and dy > 0:
+            entry["kappa"] = float(np.sqrt(entry["kappa"] * dy / dx))
+        anchor, restart_gap = state, gap
+        entry["restarts"] += 1
+
+
+def _anderson_dy(step, w, start, entry):
     """Yield the current primal iterate after each evaluation of the DY map
     T(w) = ``step(w, start)[2]``, iterated from w with type-II Anderson
     acceleration of memory `ANDERSON_MEMORY` (Walker & Ni 2011), safeguarded.
@@ -422,7 +415,7 @@ def _anderson_dy(step, w, start, counts):
     normal equations. It is kept only if its residual norm is at most
     ||g||; otherwise the memory resets and the plain step T(w) is taken. A
     singular system or a non-finite c also resets the memory and takes the
-    plain step. ``counts`` tallies every evaluation as one of
+    plain step. ``entry`` tallies every evaluation as one of
     ``plain_steps``, ``extrapolations`` (extrapolated points kept) and
     ``resets`` (extrapolated points rejected).
     """
@@ -453,7 +446,7 @@ def _anderson_dy(step, w, start, counts):
         return x2, tw, g, vector_norm(g)
 
     x2, tw, g, g_norm = evaluate(w)
-    counts["plain_steps"] += 1
+    entry["plain_steps"] += 1
     yield x2
     while True:
         if size:
@@ -469,18 +462,18 @@ def _anderson_dy(step, w, start, counts):
             if coef is not None and np.all(np.isfinite(coef)):
                 x2_aa, tw_aa, g_aa, g_aa_norm = evaluate(tw - used_T @ coef)
                 if g_aa_norm <= g_norm:
-                    counts["extrapolations"] += 1
+                    entry["extrapolations"] += 1
                     remember(tw_aa - tw, g_aa - g)
                     x2, tw, g, g_norm = x2_aa, tw_aa, g_aa, g_aa_norm
                     yield x2
                     continue
-                counts["resets"] += 1
+                entry["resets"] += 1
                 yield x2
             size = 0
         x2, tw_next, g_next, g_norm = evaluate(tw)
         remember(tw_next - tw, g_next - g)
         tw, g = tw_next, g_next
-        counts["plain_steps"] += 1
+        entry["plain_steps"] += 1
         yield x2
 
 

@@ -15,7 +15,9 @@ from a point predicted from the previous candidates and targets, and
 Baselines: the same primal-dual iteration with a fixed-tolerance inner solve
 (`implicit_cp_run`, `implicit_dy_run`), the fully dualized explicit variant
 (`explicit_cp_run`), a forward-step primal-dual method (`condat_vu_run`), and
-plain forward-backward (`fb_run`).
+plain forward-backward (`fb_run`). The implicit runners iterate `_implicit_cp_step`
+and `_implicit_dy_step` with CG started at the previous iterate, the CLI's
+reference run with CG started at a closed-form resolvent.
 """
 
 import math
@@ -264,29 +266,38 @@ def _lsq_cg_step(H, tau, b, x_warm, cg_tol):
     return x, it
 
 
-def implicit_cp_run(H, f, D, lam, p, x0, y0, iters, cg_tol=1e-8,
-                    record_invariants=False, objective=None, cg_start=None):
-    """Primal-dual iteration with the primal resolvent solved to a fixed CG tolerance.
+def _implicit_cp_step(H, f, D, lam, p, cg_tol=1e-8):
+    """implicit-cp's step, ``step((x, y), start) -> ((x, y), cg_steps)``:
 
-        x <- (I + tau HtH)^{-1} (x - tau*(Dt y - Ht f))      [CG, warm start x]
+        x <- (I + tau HtH)^{-1} b,  b = x - tau*(Dt y - Ht f)   [CG started at start(b)]
         y <- clip(y + theta*D(2 x_new - x), lam)
 
-    ``cg_start(b)``, when given, is where CG starts for right-hand side b in
-    place of x; CG still checks it against ``cg_tol``.
+    CG checks whatever ``start(b)`` gives against ``cg_tol``.
     """
     tau, theta = p.tau, p.theta
-    f = np.asarray(f, dtype=float)
-    x0 = np.array(x0, dtype=float)
-    htf = H.apply_adjoint(f)
+    htf = H.apply_adjoint(np.asarray(f, dtype=float))
 
-    def step(k, state):
+    def step(state, start):
         x, y = state
         b = x - tau * (D.apply_adjoint(y) - htf)
-        x_next, it = _lsq_cg_step(H, tau, b, x if cg_start is None else cg_start(b), cg_tol)
-        return (x_next, clip(y + theta * D.apply(2.0 * x_next - x), lam)), StepRecord(inner=it)
+        x_next, it = _lsq_cg_step(H, tau, b, start(b), cg_tol)
+        return (x_next, clip(y + theta * D.apply(2.0 * x_next - x), lam)), it
 
-    trace, (x, y) = iterate(step, (x0, np.array(y0, dtype=float)), iters, objective,
-                            lambda: H.total_count,
+    return step
+
+
+def implicit_cp_run(H, f, D, lam, p, x0, y0, iters, cg_tol=1e-8,
+                    record_invariants=False, objective=None):
+    """Primal-dual iteration with the primal resolvent solved to a fixed CG
+    tolerance: `_implicit_cp_step` from (x0, y0), CG warm-started at the previous x."""
+    cp_step = _implicit_cp_step(H, f, D, lam, p, cg_tol)
+
+    def step(k, state):
+        state_next, it = cp_step(state, lambda b: state[0])
+        return state_next, StepRecord(inner=it)
+
+    trace, (x, y) = iterate(step, (np.array(x0, dtype=float), np.array(y0, dtype=float)),
+                            iters, objective, lambda: H.total_count,
                             np.concatenate if record_invariants else None, "implicit-cp")
     return MethodResult(trace, x, aux={"y": y})
 
@@ -361,22 +372,16 @@ def _huber_forward(D, lam2, delta, x):
     return lam2 * D.apply_adjoint(huber_gradient(D.apply(x), delta))
 
 
-def _implicit_dy_step(H, f, D, lam1, lam2, delta, gamma=None, cg_tol=1e-8):
-    """The implicit baseline's Davis-Yin step and its `DyParams`.
+def _implicit_dy_step(H, f, D, lam1, lam2, delta, p, cg_tol=1e-8):
+    """implicit-dy's step at the `DyParams` p, ``step(w, start) -> (x1, x2, w_next, cg_steps)``:
 
-    ``step(w, start) -> (x1, x2, w_next, cg_steps)`` is one step from w:
-
-        x1 <- (I + gamma HtH)^{-1} (w + gamma Ht f)          [CG started at start(b)]
+        x1 <- (I + gamma HtH)^{-1} b,  b = w + gamma Ht f       [CG started at start(b)]
         x2 <- soft(2 x1 - w - gamma*lam2*Dt grad_huber(D x1), gamma*lam1)
         w  <- w + (x2 - x1)/(1 + alpha)
 
-    with b the right-hand side w + gamma Ht f, beta = 4*lam2 (floored when
-    lam2 = 0), gamma = 1/beta by default, and alpha = gamma*beta/(4 - gamma*beta).
     CG checks whatever ``start(b)`` gives against ``cg_tol``.
     """
-    # validates gamma in (0, 2/beta)
-    params = DyParams.from_beta(max(4.0 * lam2, 1e-12), gamma=gamma)
-    gamma, alpha = params.gamma, params.alpha
+    gamma, alpha = p.gamma, p.alpha
     htf = H.apply_adjoint(np.asarray(f, dtype=float))
 
     def step(w, start):
@@ -386,15 +391,17 @@ def _implicit_dy_step(H, f, D, lam1, lam2, delta, gamma=None, cg_tol=1e-8):
                             gamma * lam1)
         return x1, x2, w + (x2 - x1) / (1.0 + alpha), it
 
-    return step, params
+    return step
 
 
 def implicit_dy_run(H, f, D, lam1, lam2, delta, w0, iters, gamma=None, cg_tol=1e-8,
                     record_invariants=False, objective=None):
     """Three-operator splitting with the data resolvent solved to a fixed CG
-    tolerance: `_implicit_dy_step` from w0, with CG warm-started at the previous x1.
-    """
-    dy_step, params = _implicit_dy_step(H, f, D, lam1, lam2, delta, gamma=gamma, cg_tol=cg_tol)
+    tolerance: `_implicit_dy_step` from w0, with CG warm-started at the previous
+    x1; beta = 4*lam2 (floored when lam2 = 0) and gamma = 1/beta by default."""
+    # validates gamma in (0, 2/beta)
+    params = DyParams.from_beta(max(4.0 * lam2, 1e-12), gamma=gamma)
+    dy_step = _implicit_dy_step(H, f, D, lam1, lam2, delta, params, cg_tol)
     w0 = np.array(w0, dtype=float)
 
     def step(k, state):

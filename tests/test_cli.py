@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 from itertools import islice
@@ -393,8 +394,9 @@ class TestReference:
         # both must give the same iterates and counts, bit for bit
         cfg = named_config("dy-run3", m=40, n=40, seed=3)
         inst = make_dy_instance(cfg.m, cfg.n, cfg.seed, cfg.lam1, cfg.lam2, cli.HUBER_DELTA)
-        step, params = methods._implicit_dy_step(inst.H, inst.f, inst.D, cfg.lam1, cfg.lam2,
-                                                 cli.HUBER_DELTA)
+        params = cfg.step_params()
+        step = methods._implicit_dy_step(inst.H, inst.f, inst.D, cfg.lam1, cfg.lam2,
+                                         cli.HUBER_DELTA, params)
         start = inst.gram.resolvent(params.gamma)
         w0 = np.zeros(cfg.n)
 
@@ -494,82 +496,119 @@ class TestReference:
                                                  "at iteration 50"):
             run_experiment(cfg)
 
+    def test_checkpoints_do_not_grow_with_the_cap(self, tmp_path):
+        # a cap of 10^8 steps certifies after 200; the checkpoints come lazily,
+        # so memory does not grow with the cap
+        cfg = named_config("dy-run1", m=20, n=20, iters=10**7, methods=(),
+                           out_dir=str(tmp_path))
+        tracemalloc.start()
+        try:
+            reference = run_experiment(cfg).summary["reference"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reference["stop"] == "certificate" and reference["cap"] == 10**8
+        assert peak <= 10 * 2**20
+
     @staticmethod
-    def spied_cp_reference(cfg, monkeypatch):
-        """The CP reference entry and its chunks, each as (CpParams, x, y, iters,
-        result), with (x, y) the state the chunk started from."""
-        runner = cli.implicit_cp_run
-        chunks = []
+    def spied_cp_steps(cfg, monkeypatch):
+        """The CP reference entry and its runs between restarts, each as
+        (CpParams, starts, steps): the set of CG starts its steps were given,
+        and a list of (state, next state, cg_steps)."""
+        factory = cli._implicit_cp_step
+        runs = []
 
-        def spy(H, f, D, lam, p, x, y, iters, **kwargs):
-            chunks.append((p, x, y, iters, runner(H, f, D, lam, p, x, y, iters, **kwargs)))
-            return chunks[-1][-1]
+        def spy(H, f, D, lam, p, *args, **kwargs):
+            step, starts, steps = factory(H, f, D, lam, p, *args, **kwargs), set(), []
+            runs.append((p, starts, steps))
 
-        monkeypatch.setattr(cli, "implicit_cp_run", spy)
-        return run_experiment(cfg).summary["reference"], chunks
+            def spied(state, start):
+                starts.add(start)
+                state_next, cg_steps = step(state, start)
+                steps.append((state, state_next, cg_steps))
+                return state_next, cg_steps
+            return spied
+
+        monkeypatch.setattr(cli, "_implicit_cp_step", spy)
+        return run_experiment(cfg).summary["reference"], runs
 
     @staticmethod
-    def replay_restarts(cfg, chunks):
-        """Each checkpoint followed by a chunk as (restart, x, y, x_r, y_r): whether
+    def replay_checkpoints(cfg, runs):
+        """Each checkpoint followed by a step as (restart, state, anchor): whether
         its gap is at most RESTART_DECAY times the gap at the last restart, its
         state, and the state at the last restart before it."""
         inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
-        _, x_r, y_r, _, _ = chunks[0]
-        restart_gap, checkpoints = np.inf, []
-        for *_, result in chunks[:-1]:
-            x, y = result.final_x, result.aux["y"]
-            gap = inst.objective(x) - inst.lower_bound(x)
+        steps = [step for _, _, run in runs for step in run]
+        anchor, restart_gap, checkpoints = steps[0][0], np.inf, []
+        for _, state, _ in steps[cli.REFERENCE_CHUNK - 1:-1:cli.REFERENCE_CHUNK]:
+            gap = inst.objective(state[0]) - inst.lower_bound(state[0])
             restart = gap <= cli.RESTART_DECAY * restart_gap
-            checkpoints.append((restart, x, y, x_r, y_r))
+            checkpoints.append((restart, state, anchor))
             if restart:
-                x_r, y_r, restart_gap = x, y, gap
+                anchor, restart_gap = state, gap
         return checkpoints
 
-    def test_cp_chunks_resume_and_reproduce(self, tmp_path, monkeypatch):
+    def test_restart_continues_from_the_current_iterate(self, tmp_path, monkeypatch):
         cfg = named_config("cp1-run2", m=30, n=30, iters=25, methods=(), out_dir=str(tmp_path))
-        reference, chunks = self.spied_cp_reference(cfg, monkeypatch)
-        assert len(chunks) == 3 and reference["iterations"] == 250
-        assert chunks[0][0].kappa == cfg.kappa and chunks[1][0].kappa != cfg.kappa
-        for previous, chunk in zip(chunks, chunks[1:]):
-            assert chunk[1] is previous[-1].final_x and chunk[2] is previous[-1].aux["y"]
-        inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
-        for p, x, y, iters, result in chunks:
-            alone = implicit_cp_run(inst.H, inst.f, inst.D, cfg.lam,
-                                    CpParams.from_kappa(p.kappa), x, y, iters,
-                                    cg_start=inst.gram.resolvent(p.tau))
-            assert np.array_equal(alone.final_x, result.final_x)
+        reference, runs = self.spied_cp_steps(cfg, monkeypatch)
+        assert reference["restarts"] == len(runs) - 1 >= 1
+        assert runs[0][0].kappa == cfg.kappa and runs[1][0].kappa != cfg.kappa
+        steps = [step for _, _, run in runs for step in run]
+        assert len(steps) == reference["iterations"] == 250
+        assert not steps[0][0][0].any() and not steps[0][0][1].any()
+        for (_, state, _), (start, _, _) in zip(steps, steps[1:]):
+            assert start is state
 
     def test_restart_when_the_gap_falls_by_the_decay(self, tmp_path, monkeypatch):
         cfg = named_config("cp1-run2", iters=1000, methods=(), out_dir=str(tmp_path))
-        reference, chunks = self.spied_cp_reference(cfg, monkeypatch)
-        restarts = [restart for restart, *_ in self.replay_restarts(cfg, chunks)]
+        reference, runs = self.spied_cp_steps(cfg, monkeypatch)
+        restarts = [restart for restart, *_ in self.replay_checkpoints(cfg, runs)]
         assert restarts[0] and not all(restarts)
-        # kappa changes exactly at the restarts
-        kappas = [p.kappa for p, *_ in chunks]
-        assert [a != b for a, b in zip(kappas, kappas[1:])] == restarts
-        assert reference["restarts"] == sum(restarts)
-        assert reference["kappa"] == kappas[-1]
+        # a new run, so a new kappa, starts exactly after each restart
+        lengths = np.cumsum([len(steps) for *_, steps in runs[:-1]])
+        chunk = cli.REFERENCE_CHUNK
+        assert [i for i, restart in enumerate(restarts, 1) if restart] == list(lengths // chunk)
+        assert all(length % chunk == 0 for length in lengths)
+        assert reference["restarts"] == sum(restarts) == len(runs) - 1
+        assert reference["kappa"] == runs[-1][0].kappa
 
     def test_restart_sets_the_primal_weight(self, tmp_path, monkeypatch):
         cfg = named_config("cp1-run2", iters=1000, methods=(), out_dir=str(tmp_path))
-        _, chunks = self.spied_cp_reference(cfg, monkeypatch)
-        kappas = [p.kappa for p, *_ in chunks]
-        changed = 0
-        for (restart, x, y, x_r, y_r), kappa, after in zip(self.replay_restarts(cfg, chunks),
-                                                           kappas, kappas[1:]):
-            if restart:
-                changed += 1
-                expected = np.sqrt(kappa * np.linalg.norm(y - y_r) / np.linalg.norm(x - x_r))
-                assert after == expected
-        assert changed > 1
+        _, runs = self.spied_cp_steps(cfg, monkeypatch)
+        restarts = [(state, anchor) for restart, state, anchor
+                    in self.replay_checkpoints(cfg, runs) if restart]
+        assert len(restarts) == len(runs) - 1 > 1
+        for ((x, y), (x_r, y_r)), run, after in zip(restarts, runs, runs[1:]):
+            expected = np.sqrt(run[0].kappa * np.linalg.norm(y - y_r) / np.linalg.norm(x - x_r))
+            assert after[0].kappa == expected
 
     def test_closed_form_follows_each_new_kappa(self, monkeypatch, tmp_path):
         cfg = named_config("cp1-run2", iters=50, methods=(), out_dir=str(tmp_path))
-        reference, chunks = self.spied_cp_reference(cfg, monkeypatch)
-        assert len(chunks) == 5 and reference["restarts"] >= 1
-        assert len({p.kappa for p, *_ in chunks}) > 1
-        for *_, result in chunks:
-            assert max(result.trace.inner_iterations) == 0
+        reference, runs = self.spied_cp_steps(cfg, monkeypatch)
+        assert reference["iterations"] == 500 and reference["restarts"] >= 1
+        assert len({p.kappa for p, *_ in runs}) > 1
+        inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
+        probe = np.random.default_rng(0).standard_normal(cfg.n)
+        for p, starts, steps in runs:
+            (start,) = starts
+            assert np.array_equal(start(probe), inst.gram.resolvent(p.tau)(probe))
+            assert max(cg_steps for *_, cg_steps in steps) == 0
+
+    @pytest.mark.parametrize("name", ["cp1-run1", "cp1-run2", "cp2"])
+    def test_cp_stream_follows_the_baseline(self, name):
+        # before its first restart the stream is implicit-cp at the same kappa,
+        # with CG started at the closed form instead of the previous iterate
+        cfg = named_config(name)
+        inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
+        x0, entry = np.zeros(cfg.n), {"kappa": cfg.kappa, "restarts": 0}
+        stream = list(islice(cli._restarted_cp(inst.fresh(), cfg.lam, x0, entry), 100))
+        baseline = implicit_cp_run(inst.H, inst.f, inst.D, cfg.lam,
+                                   CpParams.from_kappa(cfg.kappa), x0, np.zeros(inst.D.rows),
+                                   100, record_invariants=True)
+        worst = max(np.linalg.norm(x - xy[:cfg.n]) / np.linalg.norm(xy[:cfg.n])
+                    for x, xy in zip(stream, baseline.trace.iterates[1:]))
+        assert worst <= 1e-6
+        assert entry == {"kappa": cfg.kappa, "restarts": 0}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_cp_reference_stops_on_its_certificate(self, seed, tmp_path):
