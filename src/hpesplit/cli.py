@@ -27,7 +27,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 from typing import Optional, get_args
@@ -78,11 +78,12 @@ RESTART_DECAY = 0.2
 # Huber width of the DY family's smoothed total-variation term
 HUBER_DELTA = 0.01
 
-CP_METHODS = ("hpe-cp", "implicit-cp", "condat-vu", "explicit-cp")
-DY_METHODS = ("hpe-dy", "implicit-dy", "fb")
-# the keys each family reads; every one is required except DY's gamma, which
-# DyParams.from_beta picks when it is not given
-FAMILY_KEYS = {"cp": ("lam", "kappa"), "dy": ("lam1", "lam2", "gamma")}
+# each family's keys (all required but DY's gamma) and the methods run if none are named
+FAMILIES = {
+    "cp": {"keys": ("lam", "kappa"),
+           "methods": ("hpe-cp", "implicit-cp", "condat-vu", "explicit-cp")},
+    "dy": {"keys": ("lam1", "lam2", "gamma"), "methods": ("hpe-dy", "implicit-dy", "fb")},
+}
 
 
 @dataclass
@@ -95,7 +96,7 @@ class ExperimentConfig:
     n: int = 200
     seed: int = 0
     spectrum_kind: str = "cosine"
-    methods: tuple = CP_METHODS
+    methods: Optional[tuple] = None
     iters: int = 2000
     sigma: float = 0.95
     kappa: Optional[float] = None
@@ -113,10 +114,10 @@ class ExperimentConfig:
         name = self.experiment
         if name in ("", ".", "..") or "/" in name or os.sep in name:
             raise ValueError(f"experiment name {name!r} is not a directory name")
-        if self.family not in FAMILY_KEYS:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        self.methods = tuple(self.methods)
-        known = CP_METHODS if self.family == "cp" else DY_METHODS
+        known = FAMILIES[self.family]["methods"]
+        self.methods = known if self.methods is None else tuple(self.methods)
         unknown = [m for m in self.methods if m not in known]
         if unknown:
             raise ValueError(f"unknown methods for family {self.family!r}: {unknown}; "
@@ -139,8 +140,8 @@ class ExperimentConfig:
         if self.spectrum_kind not in SPECTRUM_KINDS:
             raise ValueError(f"unknown spectrum kind {self.spectrum_kind!r}, "
                              f"expected one of {SPECTRUM_KINDS}")
-        for family, keys in FAMILY_KEYS.items():
-            for key in keys:
+        for family, spec in FAMILIES.items():
+            for key in spec["keys"]:
                 value = getattr(self, key)
                 if family != self.family and value is not None:
                     raise ValueError(f"{self.family} experiments take no {key}")
@@ -167,17 +168,17 @@ class ExperimentConfig:
 # accept but the harness does not run by default.
 NAMED_EXPERIMENTS = {
     "cp1-run1": dict(family="cp", lam=20.0, sigma=0.01, kappa=0.5, m=200, n=200,
-                     spectrum_kind="cosine", methods=CP_METHODS),
+                     spectrum_kind="cosine"),
     "cp1-run2": dict(family="cp", lam=1.0, sigma=0.95, kappa=0.1, m=200, n=200,
-                     spectrum_kind="cosine", methods=CP_METHODS),
+                     spectrum_kind="cosine"),
     "cp2": dict(family="cp", lam=0.1, sigma=0.99, kappa=0.5, m=100, n=400,
-                spectrum_kind="power5", methods=CP_METHODS),
+                spectrum_kind="power5"),
     "dy-run1": dict(family="dy", lam1=0.001, lam2=0.1, sigma=0.99, m=200, n=200,
-                    spectrum_kind="cosine", methods=DY_METHODS),
+                    spectrum_kind="cosine"),
     "dy-run2": dict(family="dy", lam1=0.0001, lam2=0.1, sigma=0.99, m=200, n=200,
-                    spectrum_kind="cosine", methods=DY_METHODS),
+                    spectrum_kind="cosine"),
     "dy-run3": dict(family="dy", lam1=0.0001, lam2=0.01, sigma=0.99, m=200, n=200,
-                    spectrum_kind="cosine", methods=DY_METHODS),
+                    spectrum_kind="cosine"),
 }
 
 
@@ -450,11 +451,9 @@ def _anderson_dy(step, w, start, entry):
     yield x2
     while True:
         if size:
-            used_T, used_G = dT, dG
-            if size < ANDERSON_MEMORY:
-                # contiguous copies, so the products round as they do on a
-                # memory of `size` columns; on a strided view BLAS rounds otherwise
-                used_T, used_G = (np.ascontiguousarray(d[:, :size]) for d in (dT, dG))
+            # contiguous (a full memory already is, and is not copied), so the products
+            # round as on a memory of `size` columns; BLAS rounds a strided view otherwise
+            used_T, used_G = (np.ascontiguousarray(d[:, :size]) for d in (dT, dG))
             try:
                 coef = _anderson_coefficients(used_G, g)
             except np.linalg.LinAlgError:
@@ -630,7 +629,7 @@ def build_parser():
     run.add_argument("--kappa", type=float)
     run.add_argument("--gamma", type=float)
     run.add_argument("--out", dest="out_dir")
-    run.add_argument("--wall-times", action="store_true", dest="emit_wall_times",
+    run.add_argument("--wall-times", action="store_true", default=None, dest="emit_wall_times",
                      help="emit measured per-row wall times (breaks bit-reproducibility)")
 
     audit = sub.add_parser("audit", help="audit an emitted trace CSV at the sigma it records")
@@ -657,8 +656,7 @@ def main(argv=None):
         print("audit passed")
         return 0
 
-    overrides = {k: getattr(args, k) for k in
-                 ("m", "n", "seed", "iters", "sigma", "kappa", "gamma", "out_dir")}
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "experiment")}
     try:
         if args.experiment in NAMED_EXPERIMENTS:
             cfg = named_config(args.experiment, **overrides)
@@ -668,8 +666,6 @@ def main(argv=None):
             print(f"error: {args.experiment!r} is neither a named experiment nor a "
                   f"config file", file=sys.stderr)
             return 1
-        if args.emit_wall_times:
-            cfg = replace(cfg, emit_wall_times=True)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -283,7 +283,8 @@ def audit_invariants(trace, sigma, u_star_seminorms=None, rtol=1e-9):
     summed form.  Tolerances scale with the run (rtol relative).  A sigma
     outside [0, 1), where the runners certify, or an rtol that is not finite
     and nonnegative raises ValueError: an infinite sigma or a NaN rtol would
-    pass every row, and a negative rtol fail exact ones.
+    pass every row, and a negative rtol fail exact ones.  A non-finite accept_tol
+    fails, and so does a NaN: each check is ``not a <= b``, as `certify` accepts.
     """
     if not 0 <= sigma < 1:
         raise ValueError(f"sigma must be in [0, 1), got {sigma}")
@@ -303,10 +304,12 @@ def audit_invariants(trace, sigma, u_star_seminorms=None, rtol=1e-9):
         # the runners accept lhs <= sigma*rhs + accept_tol, so every derived
         # estimate carries that extra slack
         tol = rtol * scale + accept_tol[k]
-        if lhs[k] > sigma * steps[k] + tol:
+        if not np.isfinite(accept_tol[k]):
+            failures.append(f"k={k}: accept_tol={accept_tol[k]} is not finite")
+        if not lhs[k] <= sigma * steps[k] + tol:
             failures.append(f"k={k}: acceptance violated: lhs={lhs[k]:.12e} > "
                             f"sigma*rhs={sigma * steps[k]:.12e}")
-        if resid[k] < (1 - sigma) * steps[k] - tol or resid[k] > (1 + sigma) * steps[k] + tol:
+        if not (1 - sigma) * steps[k] - tol <= resid[k] <= (1 + sigma) * steps[k] + tol:
             failures.append(f"k={k}: two-sided estimate violated: ||v||_M={resid[k]:.12e} "
                             f"vs [{(1 - sigma) * steps[k]:.12e}, {(1 + sigma) * steps[k]:.12e}]")
 
@@ -320,11 +323,11 @@ def audit_invariants(trace, sigma, u_star_seminorms=None, rtol=1e-9):
             slack = 2 * sigma * steps[k] * accept_tol[k] + accept_tol[k] ** 2 + rtol * scale2
             slack_sum += slack
             left = d[k + 1] ** 2 + (1 - sigma ** 2) * steps[k] ** 2
-            if left > d[k] ** 2 + slack:
+            if not left <= d[k] ** 2 + slack:
                 failures.append(f"k={k}: Fejer inequality violated: {left:.12e} > "
                                 f"{d[k] ** 2:.12e}")
         total = d[n] ** 2 + (1 - sigma ** 2) * float(np.sum(steps ** 2))
-        if total > d[0] ** 2 + slack_sum:
+        if not total <= d[0] ** 2 + slack_sum:
             failures.append(f"summability violated: {total:.12e} > {d[0] ** 2:.12e}")
 
     if n >= 2 and steps[0] > 0 and steps[-1] >= steps[0]:

@@ -215,6 +215,47 @@ class TestConfigFile:
         cols = parse_trace_csv(result.summary["methods"]["implicit-cp"]["trace"])
         assert any(w > 0 for w in cols["wall_ms"])
 
+    @pytest.mark.parametrize("family, params, methods", [
+        ("cp", {"lam": 0.5, "kappa": 0.5}, ("hpe-cp", "implicit-cp", "condat-vu", "explicit-cp")),
+        ("dy", {"lam1": 0.001, "lam2": 0.1}, ("hpe-dy", "implicit-dy", "fb")),
+    ], ids=["cp", "dy"])
+    def test_methods_default_to_the_family(self, family, params, methods):
+        assert ExperimentConfig(family=family, **params).methods == methods
+        # an explicit list stays as given, the empty one (reference only) too
+        assert ExperimentConfig(family=family, methods=methods[1:], **params).methods \
+            == methods[1:]
+        assert ExperimentConfig(family=family, methods=(), **params).methods == ()
+        for name, preset in NAMED_EXPERIMENTS.items():
+            if preset["family"] == family:
+                assert named_config(name).methods == methods, name
+
+    def test_dy_config_without_methods_runs_every_dy_method(self, tmp_path, capsys):
+        path = tmp_path / "dy-default.cfg"
+        path.write_text("family = dy\nm = 20\nn = 20\nlam1 = 0.001\nlam2 = 0.1\niters = 10\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        run_dir = tmp_path / "out" / "dy-default"
+        assert sorted(p.name for p in run_dir.glob("*.csv")) == [
+            "fb.csv", "hpe-dy.csv", "implicit-dy.csv"]
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["methods"] == ["hpe-dy", "implicit-dy", "fb"]
+
+    @pytest.mark.parametrize("source", ["named", "file", "file-key"])
+    def test_wall_times_through_main(self, tmp_path, capsys, source):
+        # the flag is an override like --seed, and a config file's own
+        # emit_wall_times = true holds when the flag is not given
+        out = tmp_path / "out"
+        args = ["--m", "20", "--n", "20", "--iters", "10", "--out", str(out)]
+        if source == "named":
+            experiment, trace = "cp1-run2", out / "cp1-run2" / "implicit-cp.csv"
+        else:
+            experiment, trace = tmp_path / "dy.cfg", out / "dy" / "implicit-dy.csv"
+            experiment.write_text("family = dy\nlam1 = 0.001\nlam2 = 0.1\n"
+                                  + ("emit_wall_times = true\n" if source == "file-key" else ""))
+        assert main(["run", str(experiment), *args]) == 0
+        assert any(parse_trace_csv(trace)["wall_ms"]) == (source == "file-key")
+        assert main(["run", str(experiment), *args, "--wall-times"]) == 0
+        assert any(w > 0 for w in parse_trace_csv(trace)["wall_ms"])
+
 
 class TestRunExperiment:
     def test_summary_and_traces(self, tmp_path):
@@ -699,6 +740,27 @@ class TestTraceAudit:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == error + "\n"
 
+    @pytest.mark.parametrize("changes, failure", [
+        ({"residual": "nan"}, "k=3: two-sided estimate violated"),
+        ({"lhs": "nan"}, "k=3: acceptance violated"),
+        ({"rhs": "nan"}, "k=3: acceptance violated"),
+        ({"accept_tol": "nan"}, "k=3: accept_tol=nan is not finite"),
+        ({"accept_tol": "inf", "lhs": "1e300"}, "k=3: accept_tol=inf is not finite"),
+    ], ids=["residual-nan", "lhs-nan", "rhs-nan", "accept_tol-nan", "accept_tol-inf"])
+    def test_non_finite_row_is_a_violation(self, tmp_path, capsys, changes, failure):
+        cfg = named_config("cp1-run2", m=20, n=20, iters=20, out_dir=str(tmp_path))
+        path = Path(run_experiment(cfg).summary["methods"]["hpe-cp"]["trace"])
+        lines = path.read_text().splitlines()
+        names = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+        for name, value in changes.items():
+            rows[3][names.index(name)] = value
+        self.write_rows(path, names, rows)
+        assert any(f.startswith(failure) for f in audit_trace_file(path))
+        assert main(["audit", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and failure in captured.err
+
     @staticmethod
     def write_rows(path, names, rows):
         path.write_text("\n".join(",".join(row) for row in [names, *rows]) + "\n")
@@ -776,8 +838,8 @@ class TestMainCli:
         ("cp1-run2", "lam = -0.5", "lam must be nonnegative, got -0.5"),
         ("dy-run1", "lam1 = -0.1", "lam1 must be nonnegative, got -0.1"),
         ("dy-run1", "lam2 = -0.1", "lam2 must be nonnegative, got -0.1"),
-        ("cp1-run2", "sigma = abc", "{cfg}:9: sigma must be float, got 'abc'"),
-        ("cp1-run2", "ref_factor = 1.5", "{cfg}:9: ref_factor must be int, got '1.5'"),
+        ("cp1-run2", "sigma = abc", "{cfg}:{line}: sigma must be float, got 'abc'"),
+        ("cp1-run2", "ref_factor = 1.5", "{cfg}:{line}: ref_factor must be int, got '1.5'"),
         ("cp1-run2", "methods = hpe-cp, hpe-cp", "methods named more than once: ['hpe-cp']"),
         ("cp1-run2", "--out {tmp}/file/out", "[Errno 20] Not a directory"),
         ("cp1-run2", "--kappa nan", "kappa must be finite, got nan"),
@@ -802,12 +864,13 @@ class TestMainCli:
         # a regular file that an output directory cannot be made below
         (tmp_path / "file").write_text("")
         setting = setting.format(tmp=tmp_path)
-        message = message.format(cfg=tmp_path / f"{name}.cfg")
+        # a bad config line comes right after the preset's keys
+        message = message.format(cfg=tmp_path / f"{name}.cfg",
+                                 line=len(NAMED_EXPERIMENTS[name]) + 1)
         source = [name, *setting.split()]
         if "=" in setting:
             # a key with no flag: the preset as a config file, with the bad line last
-            lines = [f"{key} = {','.join(val) if key == 'methods' else val}"
-                     for key, val in NAMED_EXPERIMENTS[name].items()]
+            lines = [f"{key} = {val}" for key, val in NAMED_EXPERIMENTS[name].items()]
             path = tmp_path / f"{name}.cfg"
             path.write_text("\n".join(lines + [setting]) + "\n")
             source = [str(path)]

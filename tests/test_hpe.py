@@ -423,6 +423,35 @@ class TestAudit:
         assert any("acceptance" in f for f in report.failures)
         assert any("two-sided" in f for f in report.failures)
 
+    @pytest.mark.parametrize("changes, failure", [
+        ({"seminorm_residual": np.nan}, "k=2: two-sided estimate violated"),
+        ({"lhs": np.nan}, "k=2: acceptance violated"),
+        ({"rhs": np.nan}, "k=2: acceptance violated"),
+        ({"accept_tol": np.nan}, "k=2: accept_tol=nan is not finite"),
+        ({"accept_tol": np.inf, "lhs": 1e300}, "k=2: accept_tol=inf is not finite"),
+    ], ids=["residual-nan", "lhs-nan", "rhs-nan", "accept_tol-nan", "accept_tol-inf"])
+    def test_non_finite_row_is_a_violation(self, changes, failure):
+        trace = self.run_toy(0.5, iters=6)
+        assert audit_invariants(trace, sigma=0.5).ok
+        for name, value in changes.items():
+            getattr(trace, name)[2] = value
+        report = audit_invariants(trace, sigma=0.5)
+        assert any(f.startswith(failure) for f in report.failures), report.failures
+
+    @pytest.mark.parametrize("index, failure", [
+        (0, "k=0: Fejer inequality violated"),
+        (3, "k=2: Fejer inequality violated"),
+        (-1, "summability violated"),
+    ], ids=["first", "middle", "last"])
+    def test_nan_distance_is_a_violation(self, index, failure):
+        trace = self.run_toy(0.6, iters=10)
+        w_star = self.run_toy(0.6, iters=800).iterates[-1]
+        d = [float(np.linalg.norm(w - w_star)) for w in trace.iterates]
+        assert audit_invariants(trace, sigma=0.6, u_star_seminorms=d).ok
+        d[index] = np.nan
+        report = audit_invariants(trace, sigma=0.6, u_star_seminorms=d)
+        assert any(f.startswith(failure) for f in report.failures), report.failures
+
     def test_fejer_length_validation(self):
         trace = self.run_toy(0.5, iters=10)
         with pytest.raises(ValueError):
