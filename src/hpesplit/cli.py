@@ -3,15 +3,11 @@
 `run_experiment` generates a seeded instance, estimates ||H|| and ||D|| by
 power iteration started at each map's known top right singular vector (a
 column of the generator's V; the DCT-II vector for D), so that both converge
-in two iterations, computes a reference objective
-and a dual lower bound by iterating the implicit baseline's own step without a
-trace (its resolvent in closed form from the generator's Gram factor, checked
-by CG; for DY accelerated by safeguarded Anderson mixing, for CP restarted
-with an adaptive kappa) until the two are within `REFERENCE_GAP` or for
-``ref_factor * iters`` steps, runs every
-requested method on fresh operator counters, writes one CSV per
-method plus a JSON summary and the manifest (the config itself), and audits
-the certified methods' traces.
+in two iterations, computes a reference objective and a dual lower bound
+(`reference.reference_run`, capped at ``ref_factor * iters`` steps), runs every
+requested method on fresh operator counters, writes one CSV per method plus a
+JSON summary and the manifest (the config itself), and audits the certified
+methods' traces.
 
 Trace CSVs are deterministic for a fixed seed: the wall-time column is written
 as zero unless wall times are explicitly requested (they land in the summary
@@ -28,20 +24,17 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, fields
-from itertools import chain
 from pathlib import Path
 from typing import Optional, get_args
 
 import numpy as np
 
 from .hpe import CertificationError, RunTrace, audit_invariants
-from .linalg import NumericalError, estimate_spectral_norm, vector_norm
+from .linalg import estimate_spectral_norm
 from .methods import (
     CpParams,
     DyParams,
     _huber_forward,
-    _implicit_cp_step,
-    _implicit_dy_step,
     condat_vu_run,
     explicit_cp_run,
     fb_run,
@@ -52,6 +45,7 @@ from .methods import (
 )
 from .operators import LsqResolvent, clip, soft_threshold
 from .problems import SPECTRUM_KINDS, make_cp_instance, make_dy_instance
+from .reference import reference_run
 
 OUT_ENV_VAR = "HPESPLIT_OUT"
 # The trace CSV format, column name -> type; the header, `emit_trace` and
@@ -66,15 +60,6 @@ TRACE_COLUMNS = {
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
 # the summary's h_apps_at_gap counts H applications until the gap reaches this
 GAP_THRESHOLD = 1e-6
-# the reference run stops once its best objective is within this of its best
-# dual bound; it checks both every REFERENCE_CHUNK iterations
-REFERENCE_GAP = 1e-10
-REFERENCE_CHUNK = 100
-# the DY reference's Anderson memory: how many past differences it mixes
-ANDERSON_MEMORY = 5
-# the CP reference restarts at a checkpoint whose gap is at most this times
-# the gap at its last restart, and adapts its kappa there
-RESTART_DECAY = 0.2
 # Huber width of the DY family's smoothed total-variation term
 HUBER_DELTA = 0.01
 
@@ -112,8 +97,10 @@ class ExperimentConfig:
     def __post_init__(self):
         # the name is the run's directory under the output root, so it must be one
         name = self.experiment
-        if name in ("", ".", "..") or "/" in name or os.sep in name:
+        if name in ("", ".", "..") or "/" in name or os.sep in name or "\0" in name:
             raise ValueError(f"experiment name {name!r} is not a directory name")
+        if self.out_dir is not None and "\0" in self.out_dir:
+            raise ValueError(f"out_dir {self.out_dir!r} is not a path: it holds a NUL byte")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         known = FAMILIES[self.family]["methods"]
@@ -197,7 +184,7 @@ def config_from_file(path, **overrides):
     Each value is read as the declared type of its `ExperimentConfig` field.
     """
     types = {f.name: f.type for f in fields(ExperimentConfig)}
-    values = {}
+    values, seen = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -208,6 +195,9 @@ def config_from_file(path, **overrides):
         key = key.strip()
         if key not in types:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"{path}:{lineno}: {key} is already set on line {seen[key]}")
+        seen[key] = lineno
         try:
             values[key] = _coerce(types[key], val.strip())
         except ValueError as err:
@@ -334,153 +324,6 @@ def run_method(name, cfg, inst, norms):
     raise ValueError(f"unknown method {name!r}")
 
 
-def _reference_run(cfg, inst):
-    """The implicit baseline's step, iterated until its dual certificate closes.
-
-    The family's stream (`_restarted_cp`, `_anderson_dy`) yields the primal iterate
-    after each step, every CG started at the Gram factor's closed-form resolvent
-    and checked at 1e-8. Every `REFERENCE_CHUNK` steps the objective and the dual
-    bound are evaluated there once, and their gap goes with the next step. It stops
-    once the lowest objective minus the highest bound is at most `REFERENCE_GAP`
-    (``stop = "certificate"``) or after ``ref_factor * iters`` steps (``"cap"``; at
-    0, at x0). Returns the lowest objective and the summary's reference entry."""
-    fresh = inst.fresh()
-    cap = cfg.iters * cfg.ref_factor
-    x0 = np.zeros(fresh.n)
-    entry = {"cap": cap}
-    if cfg.family == "cp":
-        entry.update(method="implicit-cp", kappa=cfg.kappa, restarts=0)
-        stream = _restarted_cp(fresh, cfg.lam, x0, entry)
-    else:
-        entry.update(method="implicit-dy", plain_steps=0, extrapolations=0, resets=0)
-        p = cfg.step_params()
-        step = _implicit_dy_step(fresh.H, fresh.f, fresh.D, cfg.lam1, cfg.lam2, HUBER_DELTA, p)
-        stream = _anderson_dy(step, x0, fresh.gram.resolvent(p.gamma), entry)
-
-    best, bound, done, x, gap = np.inf, -np.inf, 0, x0, None
-    # the checkpoints come lazily: the cap has no upper bound
-    for end in chain(range(REFERENCE_CHUNK, cap, REFERENCE_CHUNK), (cap,)):
-        for _ in range(end - done):
-            x, gap = stream.send(gap), None
-        done = end
-        objective = inst.objective(x)
-        if not np.isfinite(objective):
-            raise NumericalError(f"{entry['method']} reference: objective {objective} "
-                                 f"at iteration {done}")
-        lower = inst.lower_bound(x)
-        best, bound = min(best, objective), max(bound, lower)
-        if best - bound <= REFERENCE_GAP:
-            break
-        gap = objective - lower
-    stop = "certificate" if best - bound <= REFERENCE_GAP else "cap"
-    entry.update(iterations=done, stop=stop, lower_bound=bound)
-    return best, entry
-
-
-def _restarted_cp(inst, lam, x0, entry):
-    """Yield the primal iterate after each `implicit-cp` step from (x0, 0) at
-    ``entry["kappa"]``, restarted as PDLP is (Applegate, Hinder, Lu & Lubin 2023).
-
-    A gap sent with a step (``gap = yield x``) restarts the run if it is at most
-    `RESTART_DECAY` times the gap at the last restart (the first always does):
-    kappa <- sqrt(kappa * ||y - y_r|| / ||x - x_r||), (x_r, y_r) the iterate at
-    the last restart, unless a norm is 0, and the run goes on from the current
-    iterate. ``entry`` keeps ``kappa`` and ``restarts``.
-    """
-    state = anchor = (x0, np.zeros(inst.D.rows))
-    restart_gap = np.inf
-    while True:
-        p = CpParams.from_kappa(entry["kappa"])
-        step = _implicit_cp_step(inst.H, inst.f, inst.D, lam, p)
-        start = inst.gram.resolvent(p.tau)
-        gap = None
-        while gap is None or not gap <= RESTART_DECAY * restart_gap:
-            state, _ = step(state, start)
-            gap = yield state[0]
-        dx = np.linalg.norm(state[0] - anchor[0])
-        dy = np.linalg.norm(state[1] - anchor[1])
-        if dx > 0 and dy > 0:
-            entry["kappa"] = float(np.sqrt(entry["kappa"] * dy / dx))
-        anchor, restart_gap = state, gap
-        entry["restarts"] += 1
-
-
-def _anderson_dy(step, w, start, entry):
-    """Yield the current primal iterate after each evaluation of the DY map
-    T(w) = ``step(w, start)[2]``, iterated from w with type-II Anderson
-    acceleration of memory `ANDERSON_MEMORY` (Walker & Ni 2011), safeguarded.
-
-    At the current point w with residual g = T(w) - w, and the differences
-    dT, dG of T and g between the last points kept, the extrapolated point is
-    T(w) - dT c, with c the least-squares solution of dG c = g from the
-    normal equations. It is kept only if its residual norm is at most
-    ||g||; otherwise the memory resets and the plain step T(w) is taken. A
-    singular system or a non-finite c also resets the memory and takes the
-    plain step. ``entry`` tallies every evaluation as one of
-    ``plain_steps``, ``extrapolations`` (extrapolated points kept) and
-    ``resets`` (extrapolated points rejected).
-    """
-    # the memory, kept in place: column j of dT and dG holds the j-th oldest
-    # difference of T and of g, and the first `size` columns are in use
-    dT = np.empty((w.size, ANDERSON_MEMORY))
-    dG = np.empty_like(dT)
-    size = 0
-
-    def remember(d_t, d_g):
-        nonlocal size
-        if ANDERSON_MEMORY == 0:  # no memory: the plain iteration
-            return
-        if size == ANDERSON_MEMORY:
-            # forget the oldest pair: in row-major order, moving every entry back
-            # by one moves each column left; the last one is overwritten below
-            for d in (dT, dG):
-                flat = d.reshape(-1)
-                flat[:-1] = flat[1:]
-            size -= 1
-        dT[:, size] = d_t
-        dG[:, size] = d_g
-        size += 1
-
-    def evaluate(w):
-        _, x2, tw, _ = step(w, start)
-        g = tw - w
-        return x2, tw, g, vector_norm(g)
-
-    x2, tw, g, g_norm = evaluate(w)
-    entry["plain_steps"] += 1
-    yield x2
-    while True:
-        if size:
-            # contiguous (a full memory already is, and is not copied), so the products
-            # round as on a memory of `size` columns; BLAS rounds a strided view otherwise
-            used_T, used_G = (np.ascontiguousarray(d[:, :size]) for d in (dT, dG))
-            try:
-                coef = _anderson_coefficients(used_G, g)
-            except np.linalg.LinAlgError:
-                coef = None
-            if coef is not None and np.all(np.isfinite(coef)):
-                x2_aa, tw_aa, g_aa, g_aa_norm = evaluate(tw - used_T @ coef)
-                if g_aa_norm <= g_norm:
-                    entry["extrapolations"] += 1
-                    remember(tw_aa - tw, g_aa - g)
-                    x2, tw, g, g_norm = x2_aa, tw_aa, g_aa, g_aa_norm
-                    yield x2
-                    continue
-                entry["resets"] += 1
-                yield x2
-            size = 0
-        x2, tw_next, g_next, g_norm = evaluate(tw)
-        remember(tw_next - tw, g_next - g)
-        tw, g = tw_next, g_next
-        entry["plain_steps"] += 1
-        yield x2
-
-
-def _anderson_coefficients(dG, g):
-    """The least-squares solution c of dG c = g, from the normal equations."""
-    return np.linalg.solve(dG.T @ dG, dG.T @ g)
-
-
 def _environment():
     """The software and hardware a run used, with the keys and meaning of the
     benchmark's environment block; outside the reproducibility contract."""
@@ -533,7 +376,7 @@ def run_experiment(cfg):
     phases["norms_s"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    ref_best, ref_entry = _reference_run(cfg, inst)
+    ref_best, ref_entry = reference_run(inst, cfg.step_params(), cfg.iters * cfg.ref_factor)
     phases["reference_s"] = time.perf_counter() - t
 
     summary = {
@@ -676,6 +519,9 @@ def main(argv=None):
         return 1
 
     print(f"experiment {cfg.experiment}: traces in {result.out_dir}")
+    ref = result.summary["reference"]
+    print(f"  reference: {ref['stop']} after {ref['iterations']} steps, "
+          f"certified gap {ref['certified_gap']:.1e}")
     for name, entry in result.summary["methods"].items():
         if entry.get("certification_failure"):
             print(f"  {name}: CERTIFICATION FAILURE: {entry['certification_failure']}")

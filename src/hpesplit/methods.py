@@ -16,8 +16,8 @@ Baselines: the same primal-dual iteration with a fixed-tolerance inner solve
 (`implicit_cp_run`, `implicit_dy_run`), the fully dualized explicit variant
 (`explicit_cp_run`), a forward-step primal-dual method (`condat_vu_run`), and
 plain forward-backward (`fb_run`). The implicit runners iterate `_implicit_cp_step`
-and `_implicit_dy_step` with CG started at the previous iterate, the CLI's
-reference run with CG started at a closed-form resolvent.
+and `_implicit_dy_step` with CG started at the previous iterate, the reference
+run (`reference.py`) with CG started at a closed-form resolvent.
 """
 
 import math

@@ -1,0 +1,162 @@
+"""The certified reference solve, `reference_run`, fed only by the instance (its
+family and weights come from ``inst.params``), its stepsizes and its cap."""
+
+from itertools import chain
+
+import numpy as np
+
+from .linalg import NumericalError, vector_norm
+from .methods import CpParams, _implicit_cp_step, _implicit_dy_step
+
+# the reference stops once its best objective is within REFERENCE_GAP of its best
+# dual bound, checking both every REFERENCE_CHUNK steps; the DY reference mixes
+# ANDERSON_MEMORY past differences, and the CP reference restarts, adapting its
+# kappa, at a checkpoint whose gap is at most RESTART_DECAY times the last restart's
+REFERENCE_GAP = 1e-10
+REFERENCE_CHUNK = 100
+ANDERSON_MEMORY = 5
+RESTART_DECAY = 0.2
+
+
+def reference_run(inst, p, cap):
+    """The implicit baseline's step at the stepsizes p (`CpParams` or `DyParams`),
+    iterated from x0 = 0 until its dual certificate closes.
+
+    The family's stream (`_restarted_cp`, `_anderson_dy`) yields the primal iterate
+    after each step, every CG started at the Gram factor's closed-form resolvent
+    and checked at 1e-8. Every `REFERENCE_CHUNK` steps the objective and the dual
+    bound are evaluated there once, and their gap goes with the next step. It stops
+    once the lowest objective minus the highest bound is at most `REFERENCE_GAP`
+    (``stop = "certificate"``) or after ``cap`` steps (``"cap"``; at 0, at x0).
+    Returns the lowest objective and the summary's reference entry."""
+    fresh, params, entry = inst.fresh(), inst.params, {"cap": cap}
+    x0 = np.zeros(fresh.n)
+    if "lam" in params:
+        entry.update(method="implicit-cp", kappa=p.kappa, restarts=0)
+        stream = _restarted_cp(fresh, params["lam"], x0, entry)
+    else:
+        entry.update(method="implicit-dy", plain_steps=0, extrapolations=0, resets=0)
+        step = _implicit_dy_step(fresh.H, fresh.f, fresh.D, params["lam1"], params["lam2"],
+                                 params["delta"], p)
+        stream = _anderson_dy(step, x0, fresh.gram.resolvent(p.gamma), entry)
+
+    best, bound, done, x, gap = np.inf, -np.inf, 0, x0, None
+    # the checkpoints come lazily: the cap has no upper bound
+    for end in chain(range(REFERENCE_CHUNK, cap, REFERENCE_CHUNK), (cap,)):
+        for _ in range(end - done):
+            x, gap = stream.send(gap), None
+        done = end
+        objective = inst.objective(x)
+        if not np.isfinite(objective):
+            raise NumericalError(f"{entry['method']} reference: objective {objective} "
+                                 f"at iteration {done}")
+        lower = inst.lower_bound(x)
+        best, bound = min(best, objective), max(bound, lower)
+        if best - bound <= REFERENCE_GAP:
+            break
+        gap = objective - lower
+    stop = "certificate" if best - bound <= REFERENCE_GAP else "cap"
+    entry.update(iterations=done, stop=stop, lower_bound=bound)
+    return best, entry
+
+
+def _restarted_cp(inst, lam, x0, entry):
+    """Yield the primal iterate after each `implicit-cp` step from (x0, 0) at
+    ``entry["kappa"]``, restarted as PDLP is (Applegate, Hinder, Lu & Lubin 2023).
+
+    A gap sent with a step (``gap = yield x``) restarts the run if it is at most
+    `RESTART_DECAY` times the gap at the last restart (the first always does):
+    kappa <- sqrt(kappa * ||y - y_r|| / ||x - x_r||), (x_r, y_r) the iterate at
+    the last restart, unless a norm is 0, and the run goes on from the current
+    iterate. ``entry`` keeps ``kappa`` and ``restarts``."""
+    state = anchor = (x0, np.zeros(inst.D.rows))
+    restart_gap = np.inf
+    while True:
+        p = CpParams.from_kappa(entry["kappa"])
+        step = _implicit_cp_step(inst.H, inst.f, inst.D, lam, p)
+        start = inst.gram.resolvent(p.tau)
+        gap = None
+        while gap is None or not gap <= RESTART_DECAY * restart_gap:
+            state, _ = step(state, start)
+            gap = yield state[0]
+        dx = np.linalg.norm(state[0] - anchor[0])
+        dy = np.linalg.norm(state[1] - anchor[1])
+        if dx > 0 and dy > 0:
+            entry["kappa"] = float(np.sqrt(entry["kappa"] * dy / dx))
+        anchor, restart_gap = state, gap
+        entry["restarts"] += 1
+
+
+def _anderson_dy(step, w, start, entry):
+    """Yield the current primal iterate after each evaluation of the DY map
+    T(w) = ``step(w, start)[2]``, iterated from w with type-II Anderson
+    acceleration of memory `ANDERSON_MEMORY` (Walker & Ni 2011), safeguarded.
+
+    At the current point w with residual g = T(w) - w, and the differences
+    dT, dG of T and g between the last points kept, the extrapolated point is
+    T(w) - dT c, with c the least-squares solution of dG c = g from the
+    normal equations. It is kept only if its residual norm is at most
+    ||g||; otherwise the memory resets and the plain step T(w) is taken. A
+    singular system or a non-finite c also resets the memory and takes the
+    plain step. ``entry`` tallies every evaluation as one of
+    ``plain_steps``, ``extrapolations`` (extrapolated points kept) and
+    ``resets`` (extrapolated points rejected)."""
+    # the memory, kept in place: column j of dT and dG holds the j-th oldest
+    # difference of T and of g, and the first `size` columns are in use
+    dT = np.empty((w.size, ANDERSON_MEMORY))
+    dG = np.empty_like(dT)
+    size = 0
+
+    def remember(d_t, d_g):
+        nonlocal size
+        if ANDERSON_MEMORY == 0:  # no memory: the plain iteration
+            return
+        if size == ANDERSON_MEMORY:
+            # forget the oldest pair: in row-major order, moving every entry back
+            # by one moves each column left; the last one is overwritten below
+            for d in (dT, dG):
+                flat = d.reshape(-1)
+                flat[:-1] = flat[1:]
+            size -= 1
+        dT[:, size] = d_t
+        dG[:, size] = d_g
+        size += 1
+
+    def evaluate(w):
+        _, x2, tw, _ = step(w, start)
+        g = tw - w
+        return x2, tw, g, vector_norm(g)
+
+    x2, tw, g, g_norm = evaluate(w)
+    entry["plain_steps"] += 1
+    yield x2
+    while True:
+        if size:
+            # contiguous (a full memory already is, and is not copied), so the products
+            # round as on a memory of `size` columns; BLAS rounds a strided view otherwise
+            used_T, used_G = (np.ascontiguousarray(d[:, :size]) for d in (dT, dG))
+            try:
+                coef = _anderson_coefficients(used_G, g)
+            except np.linalg.LinAlgError:
+                coef = None
+            if coef is not None and np.all(np.isfinite(coef)):
+                x2_aa, tw_aa, g_aa, g_aa_norm = evaluate(tw - used_T @ coef)
+                if g_aa_norm <= g_norm:
+                    entry["extrapolations"] += 1
+                    remember(tw_aa - tw, g_aa - g)
+                    x2, tw, g, g_norm = x2_aa, tw_aa, g_aa, g_aa_norm
+                    yield x2
+                    continue
+                entry["resets"] += 1
+                yield x2
+            size = 0
+        x2, tw_next, g_next, g_norm = evaluate(tw)
+        remember(tw_next - tw, g_next - g)
+        tw, g = tw_next, g_next
+        entry["plain_steps"] += 1
+        yield x2
+
+
+def _anderson_coefficients(dG, g):
+    """The least-squares solution c of dG c = g, from the normal equations."""
+    return np.linalg.solve(dG.T @ dG, dG.T @ g)

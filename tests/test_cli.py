@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hpesplit import cli, methods
+from hpesplit import reference as refsolve
 from hpesplit.cli import (
     NAMED_EXPERIMENTS,
     ExperimentConfig,
@@ -406,8 +407,8 @@ class TestReference:
         assert reference["stop"] == "certificate"
         assert reference["cap"] == 10_000
         assert reference["iterations"] < reference["cap"]
-        assert reference["iterations"] % cli.REFERENCE_CHUNK == 0
-        assert reference["certified_gap"] <= cli.REFERENCE_GAP
+        assert reference["iterations"] % refsolve.REFERENCE_CHUNK == 0
+        assert reference["certified_gap"] <= refsolve.REFERENCE_GAP
         assert reference["extrapolations"] > 0
         assert (reference["plain_steps"] + reference["extrapolations"] + reference["resets"]
                 == reference["iterations"])
@@ -418,11 +419,11 @@ class TestReference:
         cfg = named_config(name, iters=1000, seed=seed, methods=(), out_dir=str(tmp_path))
         reference = run_experiment(cfg).summary["reference"]
         assert reference["stop"] == "certificate"
-        assert reference["certified_gap"] <= cli.REFERENCE_GAP
+        assert reference["certified_gap"] <= refsolve.REFERENCE_GAP
         assert reference["iterations"] < reference["cap"]
 
     def test_memory_zero_is_the_plain_iteration(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "ANDERSON_MEMORY", 0)
+        monkeypatch.setattr(refsolve, "ANDERSON_MEMORY", 0)
         cfg = named_config("dy-run1", iters=1000, methods=(), out_dir=str(tmp_path))
         reference = run_experiment(cfg).summary["reference"]
         assert reference["stop"] == "certificate"
@@ -442,7 +443,7 @@ class TestReference:
         w0 = np.zeros(cfg.n)
 
         def rebuilt(counts):
-            memory = deque(maxlen=cli.ANDERSON_MEMORY)
+            memory = deque(maxlen=refsolve.ANDERSON_MEMORY)
 
             def evaluate(w):
                 _, x2, tw, _ = step(w, start)
@@ -473,7 +474,7 @@ class TestReference:
 
         in_place, reference = (dict.fromkeys(("plain_steps", "extrapolations", "resets"), 0)
                                for _ in range(2))
-        pairs = zip(islice(cli._anderson_dy(step, w0, start, in_place), 400),
+        pairs = zip(islice(refsolve._anderson_dy(step, w0, start, in_place), 400),
                     islice(rebuilt(reference), 400))
         assert all(np.array_equal(a, b) for a, b in pairs)
         assert in_place == reference and reference["resets"] > 0
@@ -481,9 +482,9 @@ class TestReference:
     @pytest.mark.parametrize("fault", ["nan", "singular"])
     def test_bad_coefficients_take_the_plain_step(self, fault, tmp_path, monkeypatch):
         cfg = named_config("dy-run1", m=30, n=30, iters=25, methods=(), out_dir=str(tmp_path))
-        monkeypatch.setattr(cli, "ANDERSON_MEMORY", 0)
+        monkeypatch.setattr(refsolve, "ANDERSON_MEMORY", 0)
         plain = run_experiment(cfg).summary["reference"]
-        monkeypatch.setattr(cli, "ANDERSON_MEMORY", 5)
+        monkeypatch.setattr(refsolve, "ANDERSON_MEMORY", 5)
         calls = []
 
         def bad(dG, g):
@@ -492,7 +493,7 @@ class TestReference:
                 raise np.linalg.LinAlgError("Singular matrix")
             return np.full(dG.shape[1], np.nan)
 
-        monkeypatch.setattr(cli, "_anderson_coefficients", bad)
+        monkeypatch.setattr(refsolve, "_anderson_coefficients", bad)
         reference = run_experiment(cfg).summary["reference"]
         # every evaluation after the second asked for coefficients, from the one
         # difference kept since the last reset
@@ -556,7 +557,7 @@ class TestReference:
         """The CP reference entry and its runs between restarts, each as
         (CpParams, starts, steps): the set of CG starts its steps were given,
         and a list of (state, next state, cg_steps)."""
-        factory = cli._implicit_cp_step
+        factory = refsolve._implicit_cp_step
         runs = []
 
         def spy(H, f, D, lam, p, *args, **kwargs):
@@ -570,7 +571,7 @@ class TestReference:
                 return state_next, cg_steps
             return spied
 
-        monkeypatch.setattr(cli, "_implicit_cp_step", spy)
+        monkeypatch.setattr(refsolve, "_implicit_cp_step", spy)
         return run_experiment(cfg).summary["reference"], runs
 
     @staticmethod
@@ -581,9 +582,9 @@ class TestReference:
         inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
         steps = [step for _, _, run in runs for step in run]
         anchor, restart_gap, checkpoints = steps[0][0], np.inf, []
-        for _, state, _ in steps[cli.REFERENCE_CHUNK - 1:-1:cli.REFERENCE_CHUNK]:
+        for _, state, _ in steps[refsolve.REFERENCE_CHUNK - 1:-1:refsolve.REFERENCE_CHUNK]:
             gap = inst.objective(state[0]) - inst.lower_bound(state[0])
-            restart = gap <= cli.RESTART_DECAY * restart_gap
+            restart = gap <= refsolve.RESTART_DECAY * restart_gap
             checkpoints.append((restart, state, anchor))
             if restart:
                 anchor, restart_gap = state, gap
@@ -607,7 +608,7 @@ class TestReference:
         assert restarts[0] and not all(restarts)
         # a new run, so a new kappa, starts exactly after each restart
         lengths = np.cumsum([len(steps) for *_, steps in runs[:-1]])
-        chunk = cli.REFERENCE_CHUNK
+        chunk = refsolve.REFERENCE_CHUNK
         assert [i for i, restart in enumerate(restarts, 1) if restart] == list(lengths // chunk)
         assert all(length % chunk == 0 for length in lengths)
         assert reference["restarts"] == sum(restarts) == len(runs) - 1
@@ -642,7 +643,7 @@ class TestReference:
         cfg = named_config(name)
         inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
         x0, entry = np.zeros(cfg.n), {"kappa": cfg.kappa, "restarts": 0}
-        stream = list(islice(cli._restarted_cp(inst.fresh(), cfg.lam, x0, entry), 100))
+        stream = list(islice(refsolve._restarted_cp(inst.fresh(), cfg.lam, x0, entry), 100))
         baseline = implicit_cp_run(inst.H, inst.f, inst.D, cfg.lam,
                                    CpParams.from_kappa(cfg.kappa), x0, np.zeros(inst.D.rows),
                                    100, record_invariants=True)
@@ -657,7 +658,7 @@ class TestReference:
                            out_dir=str(tmp_path))
         reference = run_experiment(cfg).summary["reference"]
         assert reference["stop"] == "certificate"
-        assert reference["certified_gap"] <= cli.REFERENCE_GAP
+        assert reference["certified_gap"] <= refsolve.REFERENCE_GAP
         assert reference["restarts"] >= 1 and reference["kappa"] > 0
 
     def test_phases_recorded(self, tmp_path):
@@ -853,27 +854,32 @@ class TestMainCli:
         ("cp1-run2", "experiment =", "experiment name '' is not a directory name"),
         ("cp1-run2", "experiment = .", "experiment name '.' is not a directory name"),
         ("cp1-run2", "experiment = ..", "experiment name '..' is not a directory name"),
+        ("cp1-run2", "lam = 0.5; lam = 2.0", "{cfg}:{line}: lam is already set on line {prev}"),
+        ("cp1-run2", "experiment = a\0b", "experiment name 'a\\x00b' is not a directory name"),
     ], ids=["sigma", "kappa", "gamma", "m", "seed", "kappa-on-dy", "gamma-on-cp",
             "ref_factor", "spectrum_kind", "lam", "lam1", "lam2", "sigma-not-a-number",
             "ref_factor-not-an-integer", "repeated-method", "out-below-a-file",
             "kappa-nan", "lam-nan", "lam-inf", "lam1-nan", "lam1-inf", "lam2-nan",
             "experiment-escapes-out", "experiment-empty", "experiment-dot",
-            "experiment-dotdot"])
+            "experiment-dotdot", "repeated-key", "experiment-nul"])
     def test_bad_parameter_fails_before_any_work(self, tmp_path, capsys, name, setting,
                                                  message):
         # a regular file that an output directory cannot be made below
         (tmp_path / "file").write_text("")
         setting = setting.format(tmp=tmp_path)
-        # a bad config line comes right after the preset's keys
-        message = message.format(cfg=tmp_path / f"{name}.cfg",
-                                 line=len(NAMED_EXPERIMENTS[name]) + 1)
-        source = [name, *setting.split()]
+        source, lines = [name, *setting.split()], []
         if "=" in setting:
-            # a key with no flag: the preset as a config file, with the bad line last
-            lines = [f"{key} = {val}" for key, val in NAMED_EXPERIMENTS[name].items()]
+            # a key with no flag: the preset as a config file without the keys the
+            # setting gives, then the setting's lines (split on ';'), the bad one last
+            given = [line.strip() for line in setting.split(";")]
+            keys = {line.partition("=")[0].strip() for line in given}
+            lines = [f"{key} = {val}" for key, val in NAMED_EXPERIMENTS[name].items()
+                     if key not in keys] + given
             path = tmp_path / f"{name}.cfg"
-            path.write_text("\n".join(lines + [setting]) + "\n")
+            path.write_text("\n".join(lines) + "\n")
             source = [str(path)]
+        message = message.format(cfg=tmp_path / f"{name}.cfg", line=len(lines),
+                                 prev=len(lines) - 1)
         # a setting's own --out comes last, so it wins
         code = main(["run", *source[:1], "--m", "20", "--n", "20", "--iters", "5",
                      "--out", str(tmp_path / "out"), *source[1:]])
@@ -881,6 +887,27 @@ class TestMainCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists() and not (tmp_path / "escaped").exists()
+
+    def test_nul_in_out_dir_fails_before_any_work(self, tmp_path, capsys):
+        # --out would override the file's out_dir, so the file alone gives it
+        out_dir, path = f"{tmp_path}/x\0y", tmp_path / "nul.cfg"
+        path.write_text(f"family = cp\nlam = 0.5\nkappa = 0.5\nout_dir = {out_dir}\n")
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == (f"error: out_dir {out_dir!r} is not a path: "
+                                           "it holds a NUL byte\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["nul.cfg"]
+
+    @pytest.mark.parametrize("name, args, stop", [
+        ("cp1-run2", ["--m", "20", "--n", "20", "--iters", "5"], "cap"),
+        ("dy-run1", ["--iters", "1000"], "certificate"),
+    ], ids=["cap", "certificate"])
+    def test_run_prints_the_reference_stop(self, tmp_path, capsys, name, args, stop):
+        assert main(["run", name, *args, "--out", str(tmp_path)]) == 0
+        reference = json.loads((tmp_path / name / "summary.json").read_text())["reference"]
+        assert reference["stop"] == stop
+        assert capsys.readouterr().out.splitlines()[1] == (
+            f"  reference: {stop} after {reference['iterations']} steps, "
+            f"certified gap {reference['certified_gap']:.1e}")
 
     def test_module_entry_point_runs_without_warning(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
