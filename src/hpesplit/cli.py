@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -30,7 +31,7 @@ from typing import Optional, get_args
 import numpy as np
 
 from .hpe import CertificationError, RunTrace, audit_invariants
-from .linalg import estimate_spectral_norm
+from .linalg import NumericalError, estimate_spectral_norm
 from .methods import (
     CpParams,
     DyParams,
@@ -140,8 +141,7 @@ class ExperimentConfig:
         """The CpParams or DyParams that `run_method` hands to the methods."""
         if self.family == "cp":
             return CpParams.from_kappa(self.kappa, sigma=self.sigma)
-        return DyParams.from_beta(max(4.0 * self.lam2, 1e-12), sigma=self.sigma,
-                                  gamma=self.gamma)
+        return DyParams.from_beta(4.0 * self.lam2, sigma=self.sigma, gamma=self.gamma)
 
     def manifest(self):
         """Every field but the output place and the wall-time switch;
@@ -181,12 +181,14 @@ def named_config(name, **overrides):
 def config_from_file(path, **overrides):
     """Parse a flat ``key = value`` config file; command-line overrides win.
 
-    Each value is read as the declared type of its `ExperimentConfig` field.
+    Each value is read as the declared type of its `ExperimentConfig` field. A
+    ``#`` starts a comment at the start of a line or after whitespace, so
+    ``experiment = run#1`` keeps its ``#``.
     """
     types = {f.name: f.type for f in fields(ExperimentConfig)}
     values, seen = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -284,42 +286,47 @@ def audit_trace_file(path, sigma=None, rtol=1e-9):
 
 
 def run_method(name, cfg, inst, norms):
-    """Run one method on a fresh copy of the instance; returns a MethodResult."""
+    """Run one method on a fresh copy of the instance; returns a MethodResult.
+
+    The problem, ``lam`` or ``lam1``, ``lam2`` and ``delta``, comes from the
+    instance's ``params``, as it does for the reference and the dual bound; of
+    ``cfg`` the method reads only ``iters``, ``inner_cap`` and `step_params`.
+    """
     fresh = inst.fresh()
     H, D, f = fresh.H, fresh.D, fresh.f
-    n = fresh.n
+    lam, lam1, lam2, delta = map(fresh.params.get, ("lam", "lam1", "lam2", "delta"))
     objective = fresh.objective
-    x0 = np.zeros(n)
+    x0 = np.zeros(fresh.n)
     y0 = np.zeros(D.rows)
     p = cfg.step_params()
 
     if name == "hpe-cp":
         oracle = LsqResolvent(H, f, p.tau, x0=x0)
-        return inexact_cp_run(oracle, D, lambda v: clip(v, cfg.lam), p, x0, y0,
+        return inexact_cp_run(oracle, D, lambda v: clip(v, lam), p, x0, y0,
                               cfg.iters, inner_cap=cfg.inner_cap, objective=objective,
                               norm_K=norms["D"])
     if name == "implicit-cp":
-        return implicit_cp_run(H, f, D, cfg.lam, p, x0, y0, cfg.iters, objective=objective)
+        return implicit_cp_run(H, f, D, lam, p, x0, y0, cfg.iters, objective=objective)
     if name == "condat-vu":
         tau = 1.0 / norms["H"] ** 2
         theta = 0.9 * (1.0 / tau - norms["H"] ** 2 / 2.0) / norms["D"] ** 2
-        return condat_vu_run(H, f, D, cfg.lam, tau, theta, x0, y0, cfg.iters,
+        return condat_vu_run(H, f, D, lam, tau, theta, x0, y0, cfg.iters,
                              norm_H=norms["H"], norm_D=norms["D"], objective=objective)
     if name == "explicit-cp":
         norm_K = float(np.sqrt(norms["H"] ** 2 + norms["D"] ** 2))
-        return explicit_cp_run(H, f, D, cfg.lam, p.kappa, x0, np.zeros(fresh.m), y0,
+        return explicit_cp_run(H, f, D, lam, p.kappa, x0, np.zeros(fresh.m), y0,
                                cfg.iters, norm_K=norm_K, objective=objective)
     if name == "hpe-dy":
         oracle = LsqResolvent(H, f, p.gamma, x0=x0)
-        return inexact_dy_run(oracle, lambda v: soft_threshold(v, p.gamma * cfg.lam1),
-                              lambda x: _huber_forward(D, cfg.lam2, HUBER_DELTA, x),
+        return inexact_dy_run(oracle, lambda v: soft_threshold(v, p.gamma * lam1),
+                              lambda x: _huber_forward(D, lam2, delta, x),
                               p, x0, cfg.iters, inner_cap=cfg.inner_cap,
                               objective=objective)
     if name == "implicit-dy":
-        return implicit_dy_run(H, f, D, cfg.lam1, cfg.lam2, HUBER_DELTA, x0, cfg.iters,
+        return implicit_dy_run(H, f, D, lam1, lam2, delta, x0, cfg.iters,
                                gamma=p.gamma, objective=objective)
     if name == "fb":
-        return fb_run(H, f, D, cfg.lam1, cfg.lam2, HUBER_DELTA, x0, cfg.iters,
+        return fb_run(H, f, D, lam1, lam2, delta, x0, cfg.iters,
                       norm_H=norms["H"], objective=objective)
     raise ValueError(f"unknown method {name!r}")
 
@@ -428,7 +435,7 @@ def run_experiment(cfg):
             "h_apps_at_gap": _apps_at_gap(gaps, trace.h_applications),
         })
         if name.startswith("hpe"):
-            report = audit_invariants(trace, cfg.sigma)
+            report = audit_invariants(trace, trace.sigma)
             entry["audit_ok"] = report.ok
             entry["audit_failures"] = report.failures[:10]
         summary["methods"][name] = entry
@@ -451,6 +458,7 @@ def _apps_at_gap(gaps, h_apps):
 class _Parser(argparse.ArgumentParser):
     # bad arguments are one line and exit code 1 (not argparse's usage and
     # code 2), like every other bad input; 2 means certification failure here
+    # and 3 a numerical failure
     def error(self, message):
         print(f"error: {message} (see {self.prog} -h)", file=sys.stderr)
         raise SystemExit(1)
@@ -513,10 +521,16 @@ def main(argv=None):
         print(f"error: {err}", file=sys.stderr)
         return 1
     try:
-        result = run_experiment(cfg)
+        # a non-finite value ends the run in a NumericalError that names where it
+        # arose, so numpy's floating-point warnings would only repeat it
+        with np.errstate(all="ignore"):
+            result = run_experiment(cfg)
     except OSError as err:  # an unusable output place
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except NumericalError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
 
     print(f"experiment {cfg.experiment}: traces in {result.out_dir}")
     ref = result.summary["reference"]

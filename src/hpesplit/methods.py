@@ -87,8 +87,13 @@ class DyParams:
 
     @classmethod
     def from_beta(cls, beta, sigma=0.0, gamma=None):
+        """gamma defaults to 1/beta, the middle of (0, 2/beta); at beta = 0
+        (Douglas-Rachford) there is no default, so gamma must be given."""
         if gamma is None:
-            gamma = 1.0 / max(beta, 1e-12)  # floor keeps the default defined at beta = 0
+            if beta == 0:
+                raise ValueError("gamma must be given when beta = 0: "
+                                 "the default 1/beta is undefined")
+            gamma = 1.0 / beta
         return cls(gamma=gamma, beta=beta, sigma=sigma)
 
 
@@ -398,9 +403,9 @@ def implicit_dy_run(H, f, D, lam1, lam2, delta, w0, iters, gamma=None, cg_tol=1e
                     record_invariants=False, objective=None):
     """Three-operator splitting with the data resolvent solved to a fixed CG
     tolerance: `_implicit_dy_step` from w0, with CG warm-started at the previous
-    x1; beta = 4*lam2 (floored when lam2 = 0) and gamma = 1/beta by default."""
+    x1; beta = 4*lam2, and gamma defaults as in `DyParams.from_beta`."""
     # validates gamma in (0, 2/beta)
-    params = DyParams.from_beta(max(4.0 * lam2, 1e-12), gamma=gamma)
+    params = DyParams.from_beta(4.0 * lam2, gamma=gamma)
     dy_step = _implicit_dy_step(H, f, D, lam1, lam2, delta, params, cg_tol)
     w0 = np.array(w0, dtype=float)
 

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from collections import deque
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -25,8 +24,9 @@ from hpesplit.cli import (
     run_experiment,
 )
 from hpesplit.hpe import RunTrace
-from hpesplit.linalg import NumericalError
+from hpesplit.linalg import NumericalError, estimate_spectral_norm
 from hpesplit.methods import CpParams, implicit_cp_run
+from hpesplit.operators import LsqResolvent, clip, soft_threshold
 from hpesplit.problems import ProblemInstance, make_cp_instance, make_dy_instance
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -182,6 +182,22 @@ class TestConfigFile:
         path = tmp_path / "exp.cfg"
         path.write_text(f"family = cp\nlam = 0.5\nkappa = 0.5\nmethods = {methods}\n")
         assert config_from_file(path).methods == expected
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # a # starts a comment only at the start of a line or after whitespace
+        path = tmp_path / "hash.cfg"
+        path.write_text("experiment = run#1\nfamily = cp\nlam = 0.5\nkappa = 0.5\n"
+                        "m = 10\nn = 10\niters = 5\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "run#1" / "summary.json").exists()
+        assert not (tmp_path / "out" / "run").exists()
+
+    def test_hash_after_whitespace_starts_a_comment(self, tmp_path):
+        path = tmp_path / "note.cfg"
+        path.write_text("# first\nfamily = cp\nlam = 0.5  # note\nkappa = 0.25\t# tab\n"
+                        "  # indented\n")
+        cfg = config_from_file(path)
+        assert (cfg.lam, cfg.kappa) == (0.5, 0.25)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -341,6 +357,70 @@ class TestRunExperiment:
         assert result.certification_failed
 
 
+class TestRunMethod:
+    """`run_method` builds each method from the instance it is given: on an instance
+    whose weights are not the config's, it matches the runner called with the
+    instance's weights."""
+
+    @staticmethod
+    def norms(inst):
+        return {"H": estimate_spectral_norm(inst.H), "D": estimate_spectral_norm(inst.D)}
+
+    @staticmethod
+    def cp_runs(inst, cfg, norms):
+        H, D, f, lam, p = inst.H, inst.D, inst.f, inst.params["lam"], cfg.step_params()
+        x0, y0, iters = np.zeros(inst.n), np.zeros(D.rows), cfg.iters
+        tau = 1.0 / norms["H"] ** 2
+        theta = 0.9 * (1.0 / tau - norms["H"] ** 2 / 2.0) / norms["D"] ** 2
+        norm_K = float(np.sqrt(norms["H"] ** 2 + norms["D"] ** 2))
+        return {
+            "hpe-cp": lambda: methods.inexact_cp_run(
+                LsqResolvent(H, f, p.tau, x0=x0), D, lambda v: clip(v, lam), p, x0, y0,
+                iters, inner_cap=cfg.inner_cap, norm_K=norms["D"]),
+            "implicit-cp": lambda: implicit_cp_run(H, f, D, lam, p, x0, y0, iters),
+            "condat-vu": lambda: methods.condat_vu_run(
+                H, f, D, lam, tau, theta, x0, y0, iters, norm_H=norms["H"],
+                norm_D=norms["D"]),
+            "explicit-cp": lambda: methods.explicit_cp_run(
+                H, f, D, lam, p.kappa, x0, np.zeros(inst.m), y0, iters, norm_K=norm_K),
+        }
+
+    @staticmethod
+    def dy_runs(inst, cfg, norms):
+        H, D, f, p = inst.H, inst.D, inst.f, cfg.step_params()
+        lam1, lam2, delta = (inst.params[k] for k in ("lam1", "lam2", "delta"))
+        x0, iters = np.zeros(inst.n), cfg.iters
+        return {
+            "hpe-dy": lambda: methods.inexact_dy_run(
+                LsqResolvent(H, f, p.gamma, x0=x0), lambda v: soft_threshold(v, p.gamma * lam1),
+                lambda x: methods._huber_forward(D, lam2, delta, x), p, x0, iters,
+                inner_cap=cfg.inner_cap),
+            "implicit-dy": lambda: methods.implicit_dy_run(H, f, D, lam1, lam2, delta, x0,
+                                                           iters, gamma=p.gamma),
+            "fb": lambda: methods.fb_run(H, f, D, lam1, lam2, delta, x0, iters,
+                                         norm_H=norms["H"]),
+        }
+
+    @pytest.mark.parametrize("name", ["hpe-cp", "implicit-cp", "condat-vu", "explicit-cp"])
+    def test_cp_method_solves_the_instance(self, name):
+        cfg = named_config("cp1-run2", m=30, n=30, iters=100)
+        inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, 0.3, kind=cfg.spectrum_kind)
+        assert inst.params["lam"] != cfg.lam
+        norms = self.norms(inst)
+        direct = self.cp_runs(inst.fresh(), cfg, norms)[name]()
+        assert np.array_equal(cli.run_method(name, cfg, inst, norms).final_x, direct.final_x)
+
+    @pytest.mark.parametrize("name", ["hpe-dy", "implicit-dy", "fb"])
+    def test_dy_method_solves_the_instance(self, name):
+        cfg = named_config("dy-run1", m=30, n=30, iters=40)
+        inst = make_dy_instance(cfg.m, cfg.n, cfg.seed, cfg.lam1, cfg.lam2, 0.05,
+                                kind=cfg.spectrum_kind)
+        assert inst.params["delta"] != cli.HUBER_DELTA
+        norms = self.norms(inst)
+        direct = self.dy_runs(inst.fresh(), cfg, norms)[name]()
+        assert np.array_equal(cli.run_method(name, cfg, inst, norms).final_x, direct.final_x)
+
+
 class TestReference:
     @pytest.mark.parametrize("name", sorted(NAMED_EXPERIMENTS))
     def test_reference_cg_takes_no_steps(self, name, tmp_path, monkeypatch):
@@ -421,84 +501,6 @@ class TestReference:
         assert reference["stop"] == "certificate"
         assert reference["certified_gap"] <= refsolve.REFERENCE_GAP
         assert reference["iterations"] < reference["cap"]
-
-    def test_memory_zero_is_the_plain_iteration(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(refsolve, "ANDERSON_MEMORY", 0)
-        cfg = named_config("dy-run1", iters=1000, methods=(), out_dir=str(tmp_path))
-        reference = run_experiment(cfg).summary["reference"]
-        assert reference["stop"] == "certificate"
-        assert reference["iterations"] == reference["plain_steps"] == 4000
-        assert reference["extrapolations"] == reference["resets"] == 0
-
-    def test_memory_in_place_matches_a_rebuilt_memory(self):
-        # the memory is updated in place; the reference rebuilds dT and dG as
-        # contiguous n x k blocks from the kept pairs on every evaluation, and
-        # both must give the same iterates and counts, bit for bit
-        cfg = named_config("dy-run3", m=40, n=40, seed=3)
-        inst = make_dy_instance(cfg.m, cfg.n, cfg.seed, cfg.lam1, cfg.lam2, cli.HUBER_DELTA)
-        params = cfg.step_params()
-        step = methods._implicit_dy_step(inst.H, inst.f, inst.D, cfg.lam1, cfg.lam2,
-                                         cli.HUBER_DELTA, params)
-        start = inst.gram.resolvent(params.gamma)
-        w0 = np.zeros(cfg.n)
-
-        def rebuilt(counts):
-            memory = deque(maxlen=refsolve.ANDERSON_MEMORY)
-
-            def evaluate(w):
-                _, x2, tw, _ = step(w, start)
-                return x2, tw, tw - w, np.linalg.norm(tw - w)
-
-            x2, tw, g, g_norm = evaluate(w0)
-            counts["plain_steps"] += 1
-            yield x2
-            while True:
-                if memory:
-                    dT, dG = (np.column_stack(c) for c in zip(*memory))
-                    coef = np.linalg.solve(dG.T @ dG, dG.T @ g)
-                    x2_aa, tw_aa, g_aa, g_aa_norm = evaluate(tw - dT @ coef)
-                    if g_aa_norm <= g_norm:
-                        counts["extrapolations"] += 1
-                        memory.append((tw_aa - tw, g_aa - g))
-                        x2, tw, g, g_norm = x2_aa, tw_aa, g_aa, g_aa_norm
-                        yield x2
-                        continue
-                    counts["resets"] += 1
-                    yield x2
-                    memory.clear()
-                x2, tw_next, g_next, g_norm = evaluate(tw)
-                memory.append((tw_next - tw, g_next - g))
-                tw, g = tw_next, g_next
-                counts["plain_steps"] += 1
-                yield x2
-
-        in_place, reference = (dict.fromkeys(("plain_steps", "extrapolations", "resets"), 0)
-                               for _ in range(2))
-        pairs = zip(islice(refsolve._anderson_dy(step, w0, start, in_place), 400),
-                    islice(rebuilt(reference), 400))
-        assert all(np.array_equal(a, b) for a, b in pairs)
-        assert in_place == reference and reference["resets"] > 0
-
-    @pytest.mark.parametrize("fault", ["nan", "singular"])
-    def test_bad_coefficients_take_the_plain_step(self, fault, tmp_path, monkeypatch):
-        cfg = named_config("dy-run1", m=30, n=30, iters=25, methods=(), out_dir=str(tmp_path))
-        monkeypatch.setattr(refsolve, "ANDERSON_MEMORY", 0)
-        plain = run_experiment(cfg).summary["reference"]
-        monkeypatch.setattr(refsolve, "ANDERSON_MEMORY", 5)
-        calls = []
-
-        def bad(dG, g):
-            calls.append(dG.shape[1])
-            if fault == "singular":
-                raise np.linalg.LinAlgError("Singular matrix")
-            return np.full(dG.shape[1], np.nan)
-
-        monkeypatch.setattr(refsolve, "_anderson_coefficients", bad)
-        reference = run_experiment(cfg).summary["reference"]
-        # every evaluation after the second asked for coefficients, from the one
-        # difference kept since the last reset
-        assert len(calls) == reference["iterations"] - 2 and set(calls) == {1}
-        assert reference == plain
 
     def test_reference_reports_its_cap(self, tmp_path):
         cfg = named_config("cp1-run2", m=20, n=20, iters=5, out_dir=str(tmp_path))
@@ -818,6 +820,31 @@ class TestMainCli:
         assert code == 1
         assert capsys.readouterr().err == "error: iters must be nonnegative, got -3\n"
         assert not (tmp_path / "cp1-run2").exists()
+
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # a kappa of 1e-300 overflows the reference's objective
+        code = main(["run", "cp1-run2", "--m", "10", "--n", "10", "--iters", "5",
+                     "--kappa", "1e-300", "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == ("error: implicit-cp reference: objective inf "
+                                           "at iteration 50\n")
+
+    def test_dy_without_lam2_needs_a_gamma(self, tmp_path, capsys):
+        # lam2 = 0 makes beta = 0 (Douglas-Rachford), where the default 1/beta is undefined
+        message = "gamma must be given when beta = 0: the default 1/beta is undefined"
+        out = tmp_path / "out"
+        path = tmp_path / "dr.cfg"
+        path.write_text("family = dy\nlam1 = 0.001\nlam2 = 0\nm = 20\nn = 20\niters = 5\n")
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(family="dy", lam1=0.001, lam2=0.0, out_dir=str(out))
+        assert not out.exists()
+        # with a gamma it runs, and the averaging weight is exactly 0
+        cfg = ExperimentConfig(family="dy", lam1=0.001, lam2=0.0, gamma=1.0)
+        assert cfg.step_params().beta == cfg.step_params().alpha == 0.0
+        assert main(["run", str(path), "--gamma", "1.0", "--out", str(out)]) == 0
+        assert (out / "dr" / "summary.json").exists()
 
     def test_zero_iterations_exit_code(self, tmp_path, capsys):
         code = main(["run", "cp1-run2", "--m", "20", "--n", "20", "--iters", "0",

@@ -499,6 +499,18 @@ class TestImplicitDy:
             w = w + (x2 - x1) / (1 + alpha)
             assert np.linalg.norm(res.trace.iterates[k + 1] - w) <= 1e-8
 
+    def test_beta_zero_needs_a_gamma(self):
+        # at beta = 0 (Douglas-Rachford) the default gamma = 1/beta is undefined
+        message = "gamma must be given when beta = 0"
+        with pytest.raises(ValueError, match=message):
+            DyParams.from_beta(0.0)
+        Hm, f = make_instance(seed=19, m=4, n=4)
+        with pytest.raises(ValueError, match=message):
+            implicit_dy_run(LinearMap(Hm), f, LinearMap(first_difference(4)), 0.1, 0.0,
+                            delta=0.1, w0=np.zeros(4), iters=1)
+        assert DyParams.from_beta(0.0, gamma=1.0).alpha == 0.0
+        assert DyParams.from_beta(0.4).gamma == 2.5
+
     def test_fixed_point_satisfies_subgradient_optimality(self):
         n = 10
         Hm, f = make_instance(seed=20, m=n, n=n)
