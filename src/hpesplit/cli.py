@@ -18,6 +18,7 @@ with the same `audit_invariants` that audits the run in memory.
 """
 
 import argparse
+import errno
 import json
 import os
 import platform
@@ -367,7 +368,13 @@ def run_experiment(cfg):
     """
     out_root = Path(cfg.out_dir or os.environ.get(OUT_ENV_VAR, "runs"))
     out_dir = out_root / cfg.experiment
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # the directory is made only once there is output to write, so a run that fails
+    # leaves none; a place where it cannot be made fails here, before any work
+    place = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not place.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(place))
+    if not os.access(place, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(place))
 
     # wall time per phase; like wall_s, outside the reproducibility contract
     t = time.perf_counter()
@@ -418,6 +425,7 @@ def run_experiment(cfg):
     summary["reference"]["objective"] = reference
     summary["reference"]["certified_gap"] = reference - ref_entry["lower_bound"]
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, (mres, entry) in runs.items():
         trace = mres.trace
         trace.reference_objective = reference

@@ -1,6 +1,7 @@
 """The certified reference solve, `reference_run`, fed only by the instance (its
 family and weights come from ``inst.params``), its stepsizes and its cap."""
 
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -22,49 +23,98 @@ def reference_run(inst, p, cap):
     """The implicit baseline's step at the stepsizes p (`CpParams` or `DyParams`),
     iterated from x0 = 0 until its dual certificate closes.
 
-    The family's stream (`_restarted_cp`, `_anderson_dy`) yields the primal iterate
+    The family's stream (`_restarted_cp`, `_anderson_dy`) yields the iterate
     after each step, every CG started at the Gram factor's closed-form resolvent
     and checked at 1e-8. Every `REFERENCE_CHUNK` steps the objective and the dual
-    bound are evaluated there once, and their gap goes with the next step. It stops
-    once the lowest objective minus the highest bound is at most `REFERENCE_GAP`
-    (``stop = "certificate"``) or after ``cap`` steps (``"cap"``; at 0, at x0).
-    Returns the lowest objective and the summary's reference entry."""
+    bound are evaluated once at its primal point, and their gap goes with the
+    next step. A CP checkpoint also evaluates both at `_polish_cp`'s point, if
+    there is one, and keeps them unless they are not finite; that point never
+    enters the stream. It stops once the lowest objective minus the highest
+    bound is at most `REFERENCE_GAP` (``stop = "certificate"``) or after ``cap``
+    steps (``"cap"``; at 0, at x0). Returns the lowest objective and the
+    summary's reference entry."""
     fresh, params, entry = inst.fresh(), inst.params, {"cap": cap}
     x0 = np.zeros(fresh.n)
     if "lam" in params:
-        entry.update(method="implicit-cp", kappa=p.kappa, restarts=0)
+        entry.update(method="implicit-cp", kappa=p.kappa, restarts=0, polishes=0)
         stream = _restarted_cp(fresh, params["lam"], x0, entry)
+        polish = partial(_polish_cp, fresh, params["lam"])
     else:
         entry.update(method="implicit-dy", plain_steps=0, extrapolations=0, resets=0)
         step = _implicit_dy_step(fresh.H, fresh.f, fresh.D, params["lam1"], params["lam2"],
                                  params["delta"], p)
         stream = _anderson_dy(step, x0, fresh.gram.resolvent(p.gamma), entry)
+        polish = None
 
-    best, bound, done, x, gap = np.inf, -np.inf, 0, x0, None
+    best, bound, done, gap, polished = np.inf, -np.inf, 0, None, False
+    # a CP stream yields (x, y); at a cap of 0 there is x0 alone, with no dual to polish on
+    state = (x0, None) if polish else x0
     # the checkpoints come lazily: the cap has no upper bound
     for end in chain(range(REFERENCE_CHUNK, cap, REFERENCE_CHUNK), (cap,)):
         for _ in range(end - done):
-            x, gap = stream.send(gap), None
+            state, gap = stream.send(gap), None
         done = end
+        x, y = state if polish else (state, None)
         objective = inst.objective(x)
         if not np.isfinite(objective):
             raise NumericalError(f"{entry['method']} reference: objective {objective} "
                                  f"at iteration {done}")
         lower = inst.lower_bound(x)
-        best, bound = min(best, objective), max(bound, lower)
+        if objective < best:
+            best, polished = objective, False
+        bound = max(bound, lower)
+        xp = None if y is None else polish(y)
+        if xp is not None:
+            entry["polishes"] += 1
+            xp_objective, xp_lower = inst.objective(xp), inst.lower_bound(xp)
+            if np.isfinite(xp_objective) and xp_objective < best:
+                best, polished = xp_objective, True
+            if np.isfinite(xp_lower):
+                bound = max(bound, xp_lower)
         if best - bound <= REFERENCE_GAP:
             break
         gap = objective - lower
     stop = "certificate" if best - bound <= REFERENCE_GAP else "cap"
     entry.update(iterations=done, stop=stop, lower_bound=bound)
+    if polish:
+        entry["polished"] = polished
     return best, entry
 
 
+def _polish_cp(inst, lam, y):
+    """The minimizer of the CP objective over the face the dual y picks out, or
+    None where there is no usable one.
+
+    The face is x = B z, B the indicator of the segments between the jumps
+    S = {i : |y_i| = lam} (exact: y comes out of `clip`), with sign(D x)_S =
+    s = sign(y_S). On it the objective is 0.5 ||A z - f||^2 + lam <c, z>, with
+    A = H B (column sums of H over each segment, uncounted like the objective)
+    and c_k = s_{k-1} - s_k (s_{-1} = s_{|S|} = 0), so z solves
+    (A^T A) z = A^T f - lam c; this is OSQP's solution polishing (Stellato et
+    al. 2020), one step of a primal-dual active-set method (Hintermueller, Ito
+    & Kunisch 2002). None if the face has more than min(m, n) / 2 segments,
+    past which A^T A is singular or costly, or if the solve fails or is not
+    finite."""
+    jumps = np.flatnonzero(np.abs(y) == lam)
+    if jumps.size + 1 > min(inst.m, inst.n) / 2:
+        return None
+    starts = np.concatenate(([0], jumps + 1))
+    A = np.add.reduceat(inst.H.as_matrix(), starts, axis=1)
+    c = -np.diff(np.sign(y[jumps]), prepend=0.0, append=0.0)
+    try:
+        z = np.linalg.solve(A.T @ A, A.T @ inst.f - lam * c)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(z)):
+        return None
+    return np.repeat(z, np.diff(starts, append=inst.n))
+
+
 def _restarted_cp(inst, lam, x0, entry):
-    """Yield the primal iterate after each `implicit-cp` step from (x0, 0) at
+    """Yield the iterate (x, y) after each `implicit-cp` step from (x0, 0) at
     ``entry["kappa"]``, restarted as PDLP is (Applegate, Hinder, Lu & Lubin 2023).
 
-    A gap sent with a step (``gap = yield x``) restarts the run if it is at most
+    A gap sent with a step (``gap = yield (x, y)``) restarts the run if it is at most
     `RESTART_DECAY` times the gap at the last restart (the first always does):
     kappa <- sqrt(kappa * ||y - y_r|| / ||x - x_r||), (x_r, y_r) the iterate at
     the last restart, unless a norm is 0, and the run goes on from the current
@@ -78,7 +128,7 @@ def _restarted_cp(inst, lam, x0, entry):
         gap = None
         while gap is None or not gap <= RESTART_DECAY * restart_gap:
             state, _ = step(state, start)
-            gap = yield state[0]
+            gap = yield state
         dx = np.linalg.norm(state[0] - anchor[0])
         dy = np.linalg.norm(state[1] - anchor[1])
         if dx > 0 and dy > 0:

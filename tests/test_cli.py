@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -503,7 +504,8 @@ class TestReference:
         assert reference["iterations"] < reference["cap"]
 
     def test_reference_reports_its_cap(self, tmp_path):
-        cfg = named_config("cp1-run2", m=20, n=20, iters=5, out_dir=str(tmp_path))
+        # the polished point of the cap's checkpoint leaves a gap of 1.8 here
+        cfg = named_config("cp1-run2", iters=5, out_dir=str(tmp_path))
         reference = run_experiment(cfg).summary["reference"]
         assert reference["stop"] == "cap"
         assert reference["iterations"] == reference["cap"] == 50
@@ -521,8 +523,11 @@ class TestReference:
         cfg = named_config("cp1-run2", m=20, n=20, iters=iters, methods=(),
                            out_dir=str(tmp_path))
         reference = run_experiment(cfg).summary["reference"]
-        # checkpoints after iterations 100, 200 and 250; only x0 at a cap of 0
-        assert len(calls) == (3 if iters else 1)
+        # one call per checkpoint plus one per polish: after iteration 100 and at its
+        # polished point, which certifies; only x0 at a cap of 0
+        chunk = refsolve.REFERENCE_CHUNK
+        checkpoints = len(range(chunk, reference["iterations"], chunk)) + 1
+        assert len(calls) == checkpoints + reference["polishes"] == (2 if iters else 1)
         if not iters:
             inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
             x0 = np.zeros(cfg.n)
@@ -649,8 +654,10 @@ class TestReference:
         baseline = implicit_cp_run(inst.H, inst.f, inst.D, cfg.lam,
                                    CpParams.from_kappa(cfg.kappa), x0, np.zeros(inst.D.rows),
                                    100, record_invariants=True)
-        worst = max(np.linalg.norm(x - xy[:cfg.n]) / np.linalg.norm(xy[:cfg.n])
-                    for x, xy in zip(stream, baseline.trace.iterates[1:]))
+        # the stream yields (x, y); a baseline iterate is x and y end to end
+        worst = max(np.linalg.norm(part - xy[cut]) / np.linalg.norm(xy[cut])
+                    for state, xy in zip(stream, baseline.trace.iterates[1:])
+                    for part, cut in zip(state, (np.s_[:cfg.n], np.s_[cfg.n:])))
         assert worst <= 1e-6
         assert entry == {"kappa": cfg.kappa, "restarts": 0}
 
@@ -829,6 +836,34 @@ class TestMainCli:
         assert capsys.readouterr().err == ("error: implicit-cp reference: objective inf "
                                            "at iteration 50\n")
 
+    def test_numerical_failure_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["run", "cp1-run2", "--m", "10", "--n", "10", "--iters", "5",
+                     "--kappa", "1e-300", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (out / "cp1-run2").exists() and not out.exists()
+
+    @pytest.mark.parametrize("place, error", [("file", NotADirectoryError),
+                                              ("read-only", PermissionError)])
+    def test_unusable_output_place_fails_before_any_work(self, place, error, tmp_path,
+                                                          monkeypatch):
+        # the output directory is made only after the run, so its place is checked first
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out" if place == "file" else tmp_path / "out"
+        if place == "read-only":
+            monkeypatch.setattr(os, "access", lambda path, mode: False)
+
+        def generate(*args, **kwargs):
+            raise AssertionError("the instance was generated")
+
+        monkeypatch.setattr(cli, "make_cp_instance", generate)
+        checked = out.parent if place == "file" else tmp_path
+        with pytest.raises(error, match=re.escape(str(checked))):
+            run_experiment(small_config(out_dir=str(out)))
+        assert not (tmp_path / "out").exists()
+
     def test_dy_without_lam2_needs_a_gamma(self, tmp_path, capsys):
         # lam2 = 0 makes beta = 0 (Douglas-Rachford), where the default 1/beta is undefined
         message = "gamma must be given when beta = 0: the default 1/beta is undefined"
@@ -925,7 +960,7 @@ class TestMainCli:
         assert [p.name for p in tmp_path.iterdir()] == ["nul.cfg"]
 
     @pytest.mark.parametrize("name, args, stop", [
-        ("cp1-run2", ["--m", "20", "--n", "20", "--iters", "5"], "cap"),
+        ("cp1-run2", ["--iters", "5"], "cap"),
         ("dy-run1", ["--iters", "1000"], "certificate"),
     ], ids=["cap", "certificate"])
     def test_run_prints_the_reference_stop(self, tmp_path, capsys, name, args, stop):

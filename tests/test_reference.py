@@ -11,7 +11,7 @@ import pytest
 from hpesplit import methods
 from hpesplit import reference as refsolve
 from hpesplit.cli import HUBER_DELTA, named_config, run_experiment
-from hpesplit.problems import make_dy_instance
+from hpesplit.problems import make_cp_instance, make_dy_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -117,3 +117,105 @@ def test_bad_coefficients_take_the_plain_step(fault, tmp_path, monkeypatch):
     # difference kept since the last reset
     assert len(calls) == reference["iterations"] - 2 and set(calls) == {1}
     assert reference == plain
+
+
+def cp_reference(name, **overrides):
+    """The CP reference of a named experiment, run on its own: (best, entry)."""
+    cfg = named_config(name, methods=(), **overrides)
+    inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
+    return refsolve.reference_run(inst, cfg.step_params(), cfg.iters * cfg.ref_factor)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_polish_certifies_cp1_run1(seed, tmp_path):
+    # the restarted stream alone stops on its cap of 10,000 steps here (gaps 5.7e-9
+    # and 2.1e-8); its first checkpoint's face, one segment, is the optimum's
+    cfg = named_config("cp1-run1", iters=1000, seed=seed, methods=(), out_dir=str(tmp_path))
+    reference = run_experiment(cfg).summary["reference"]
+    assert reference["stop"] == "certificate" and reference["polished"]
+    assert reference["iterations"] == refsolve.REFERENCE_CHUNK
+    assert reference["polishes"] == 1
+    assert reference["certified_gap"] <= refsolve.REFERENCE_GAP
+
+
+def test_polish_on_a_face():
+    inst = make_cp_instance(20, 20, 0, 1.0)
+    H, f, lam = inst.H.as_matrix(), inst.f, 1.0
+    # no jumps: the best constant vector
+    h1 = H.sum(axis=1)
+    assert np.allclose(refsolve._polish_cp(inst, lam, np.zeros(19)),
+                       np.full(20, (h1 @ f) / (h1 @ h1)), rtol=1e-12, atol=0)
+    # jumps up at 4 and down at 11: x = B z with D x = z_{k+1} - z_k there, so the
+    # face's objective 0.5 ||H B z - f||^2 + lam (z_1 - z_0) - lam (z_2 - z_1) is
+    # stationary at z
+    y = np.zeros(19)
+    y[4], y[11] = lam, -lam
+    x = refsolve._polish_cp(inst, lam, y)
+    B = np.zeros((20, 3))
+    B[:5, 0] = B[5:12, 1] = B[12:, 2] = 1.0
+    z = x[[0, 5, 12]]
+    assert np.array_equal(x, B @ z)
+    gradient = B.T @ (H.T @ (H @ x - f)) + lam * np.array([-1.0, 2.0, -1.0])
+    assert np.abs(gradient).max() <= 1e-10 * np.abs(B.T @ H.T @ f).max()
+
+
+def test_face_over_the_gate_is_not_polished():
+    # min(m, n) / 2 = 10 segments are polished, 11 are not
+    inst = make_cp_instance(20, 30, 0, 1.0)
+    y = np.zeros(29)
+    y[1:19:2] = 1.0
+    assert refsolve._polish_cp(inst, 1.0, y).shape == (30,)
+    y[20] = -1.0
+    assert refsolve._polish_cp(inst, 1.0, y) is None
+
+
+STREAM_FIELDS = ("cap", "method", "kappa", "restarts", "iterations", "stop", "lower_bound")
+
+
+@pytest.mark.parametrize("fault", ["singular", "nan"])
+def test_failed_face_solve_skips_the_polish(fault, monkeypatch):
+    # without a polish, cp1-run2 at seed 0 certifies after 3,000 steps of the stream
+    monkeypatch.setattr(refsolve, "_polish_cp", lambda inst, lam, y: None)
+    unpolished = cp_reference("cp1-run2", iters=1000)
+    monkeypatch.undo()
+    solve, calls = np.linalg.solve, []
+
+    def bad(a, b):
+        calls.append(a.shape)
+        if fault == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full_like(solve(a, b), np.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", bad)
+    best, entry = cp_reference("cp1-run2", iters=1000)
+    assert calls and entry["polishes"] == 0 and not entry["polished"]
+    assert entry["iterations"] == 3000 and entry["stop"] == "certificate"
+    assert best == unpolished[0]
+    assert {k: entry[k] for k in STREAM_FIELDS} == {k: unpolished[1][k] for k in STREAM_FIELDS}
+
+
+def test_a_wrong_face_cannot_fool_the_certificate(monkeypatch):
+    # with the signs of y flipped, each polished point is off the optimum's face;
+    # the objective and the bound still hold it between them
+    optimum, _ = cp_reference("cp1-run2", iters=1000)
+    polish = refsolve._polish_cp
+    monkeypatch.setattr(refsolve, "_polish_cp", lambda inst, lam, y: polish(inst, lam, -y))
+    best, entry = cp_reference("cp1-run2", iters=1000)
+    assert entry["polishes"] > 0
+    rounding = 1e-12 * optimum
+    assert best - entry["lower_bound"] >= -rounding
+    assert best >= optimum - rounding and entry["lower_bound"] <= optimum + rounding
+
+
+@pytest.mark.parametrize("name, steps", [
+    ("dy-run1", (400, 17, 368, 15)), ("dy-run2", (500, 18, 466, 16)),
+    ("dy-run3", (900, 15, 872, 13))])
+def test_dy_reference_has_no_polish(name, steps, tmp_path):
+    cfg = named_config(name, iters=1000, methods=(), out_dir=str(tmp_path))
+    reference = run_experiment(cfg).summary["reference"]
+    assert set(reference) == {"cap", "method", "plain_steps", "extrapolations", "resets",
+                              "iterations", "stop", "lower_bound", "objective",
+                              "certified_gap"}
+    counts = ("iterations", "plain_steps", "extrapolations", "resets")
+    assert tuple(reference[k] for k in counts) == steps
+    assert reference["stop"] == "certificate"
