@@ -264,7 +264,8 @@ def parse_trace_csv(path):
 
 
 def audit_trace_file(path, sigma=None, rtol=1e-9):
-    """Re-check an emitted trace with `audit_invariants`, plus counter monotonicity.
+    """Re-check an emitted trace with `audit_invariants`, plus nonnegative and
+    monotone counters.
 
     The audit runs at the sigma the trace records. A given ``sigma`` is only
     compared with it: a different value is reported as a failure.
@@ -281,6 +282,9 @@ def audit_trace_file(path, sigma=None, rtol=1e-9):
     trace.k, trace.lhs, trace.rhs = cols["k"], cols["lhs"], cols["rhs"]
     trace.accept_tol, trace.seminorm_residual = cols["accept_tol"], cols["residual"]
     failures += audit_invariants(trace, recorded, rtol=rtol).failures
+    failures += [f"row {i}: {name}={value} is not >= 0"
+                 for name in ("inner_iters", "h_apps")
+                 for i, value in enumerate(cols[name]) if not 0 <= value]
     h_apps = cols["h_apps"]
     return failures + [f"row {i}: h_apps decreased" for i in range(1, len(h_apps))
                        if h_apps[i] < h_apps[i - 1]]

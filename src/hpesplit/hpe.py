@@ -285,6 +285,8 @@ def audit_invariants(trace, sigma, u_star_seminorms=None, rtol=1e-9):
     and nonnegative raises ValueError: an infinite sigma or a NaN rtol would
     pass every row, and a negative rtol fail exact ones.  A non-finite accept_tol
     fails, and so does a NaN: each check is ``not a <= b``, as `certify` accepts.
+    A row whose k is not its index fails too, and so does a negative lhs, rhs,
+    residual or accept_tol: each is a norm or a tolerance.
     """
     if not 0 <= sigma < 1:
         raise ValueError(f"sigma must be in [0, 1), got {sigma}")
@@ -300,6 +302,12 @@ def audit_invariants(trace, sigma, u_star_seminorms=None, rtol=1e-9):
     accept_tol = np.asarray(trace.accept_tol, dtype=float)
 
     for k in range(n):
+        if trace.k[k] != k:
+            failures.append(f"row {k}: reads k={trace.k[k]}, not {k}")
+        for name, value in (("lhs", lhs[k]), ("rhs", steps[k]), ("residual", resid[k]),
+                            ("accept_tol", accept_tol[k])):
+            if not 0 <= value:
+                failures.append(f"k={k}: {name}={value} is not >= 0")
         scale = max(steps[k], resid[k], 1e-300)
         # the runners accept lhs <= sigma*rhs + accept_tol, so every derived
         # estimate carries that extra slack

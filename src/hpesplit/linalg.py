@@ -28,24 +28,23 @@ class LinearMap:
     product per row; the dense map computes a block as one GEMM.
     """
 
-    def __init__(self, matrix, name=""):
+    def __init__(self, matrix):
         mat = np.array(matrix, dtype=float)
         if mat.ndim != 2:
             raise ValueError(f"LinearMap needs a 2-d matrix, got shape {mat.shape}")
         mat.setflags(write=False)
         self._mat = mat
-        self._init(mat.shape, name)
+        self._init(mat.shape)
 
-    def _init(self, shape, name):
-        """The state every map has: its shape, its name and zeroed counters."""
+    def _init(self, shape):
+        """The state every map has: its shape and zeroed counters."""
         self.shape = shape
-        self.name = name
         self.forward_count = 0
         self.adjoint_count = 0
 
     @classmethod
-    def identity(cls, n, name="I"):
-        return cls(np.eye(n), name=name)
+    def identity(cls, n):
+        return cls(np.eye(n))
 
     @property
     def rows(self):
@@ -114,7 +113,7 @@ class FirstDifference(LinearMap):
     def __init__(self, n):
         if n < 2:
             raise ValueError(f"need n >= 2, got {n}")
-        self._init((n - 1, n), "D-firstdiff")
+        self._init((n - 1, n))
 
     def as_matrix(self):
         """The dense matrix, built on each call and read-only like a dense map's."""

@@ -86,7 +86,7 @@ def gen_illcond_factors(m, n, kind="cosine", seed=0):
     V = np.ascontiguousarray(V[:, :k])
     V.setflags(write=False)
     sv.setflags(write=False)
-    return LinearMap(H, name=f"H-{kind}-{m}x{n}"), GramFactor(V, sv)
+    return LinearMap(H), GramFactor(V, sv)
 
 
 def gen_signal_and_data(H, seed, sparsity=0.5, noise_std=None):

@@ -1,6 +1,7 @@
 """The certified reference solve, `reference_run`, fed only by the instance (its
 family and weights come from ``inst.params``), its stepsizes and its cap."""
 
+from collections import deque
 from functools import partial
 from itertools import chain
 
@@ -23,38 +24,35 @@ def reference_run(inst, p, cap):
     """The implicit baseline's step at the stepsizes p (`CpParams` or `DyParams`),
     iterated from x0 = 0 until its dual certificate closes.
 
-    The family's stream (`_restarted_cp`, `_anderson_dy`) yields the iterate
-    after each step, every CG started at the Gram factor's closed-form resolvent
-    and checked at 1e-8. Every `REFERENCE_CHUNK` steps the objective and the dual
-    bound are evaluated once at its primal point, and their gap goes with the
-    next step. A CP checkpoint also evaluates both at `_polish_cp`'s point, if
-    there is one, and keeps them unless they are not finite; that point never
-    enters the stream. It stops once the lowest objective minus the highest
-    bound is at most `REFERENCE_GAP` (``stop = "certificate"``) or after ``cap``
-    steps (``"cap"``; at 0, at x0). Returns the lowest objective and the
-    summary's reference entry."""
+    The family's stream (`_restarted_cp`, `_anderson_dy`) is built the same way,
+    ``stream(inst, p, x0, entry)``, and yields the same shape, the iterate (x, y)
+    after each step, with y the dual for CP and None for DY; every CG is started
+    at the Gram factor's closed-form resolvent and checked at 1e-8. Every
+    `REFERENCE_CHUNK` steps the objective and the dual bound are evaluated once
+    at x, and their gap goes with the next step. A checkpoint with a dual also
+    evaluates both at `_polish_cp`'s point, if there is one, and keeps them
+    unless they are not finite; that point never enters the stream. It stops
+    once the lowest objective minus the highest bound is at most `REFERENCE_GAP`
+    (``stop = "certificate"``) or after ``cap`` steps (``"cap"``; at 0, at x0).
+    Returns the lowest objective and the summary's reference entry."""
     fresh, params, entry = inst.fresh(), inst.params, {"cap": cap}
     x0 = np.zeros(fresh.n)
     if "lam" in params:
         entry.update(method="implicit-cp", kappa=p.kappa, restarts=0, polishes=0)
-        stream = _restarted_cp(fresh, params["lam"], x0, entry)
-        polish = partial(_polish_cp, fresh, params["lam"])
+        make_stream, polish = _restarted_cp, partial(_polish_cp, fresh, params["lam"])
     else:
         entry.update(method="implicit-dy", plain_steps=0, extrapolations=0, resets=0)
-        step = _implicit_dy_step(fresh.H, fresh.f, fresh.D, params["lam1"], params["lam2"],
-                                 params["delta"], p)
-        stream = _anderson_dy(step, x0, fresh.gram.resolvent(p.gamma), entry)
-        polish = None
+        make_stream, polish = _anderson_dy, None
+    stream = make_stream(fresh, p, x0, entry)
 
     best, bound, done, gap, polished = np.inf, -np.inf, 0, None, False
-    # a CP stream yields (x, y); at a cap of 0 there is x0 alone, with no dual to polish on
-    state = (x0, None) if polish else x0
+    # at a cap of 0 there is x0 alone, with no dual to polish on
+    x, y = x0, None
     # the checkpoints come lazily: the cap has no upper bound
     for end in chain(range(REFERENCE_CHUNK, cap, REFERENCE_CHUNK), (cap,)):
         for _ in range(end - done):
-            state, gap = stream.send(gap), None
+            (x, y), gap = stream.send(gap), None
         done = end
-        x, y = state if polish else (state, None)
         objective = inst.objective(x)
         if not np.isfinite(objective):
             raise NumericalError(f"{entry['method']} reference: objective {objective} "
@@ -110,20 +108,20 @@ def _polish_cp(inst, lam, y):
     return np.repeat(z, np.diff(starts, append=inst.n))
 
 
-def _restarted_cp(inst, lam, x0, entry):
-    """Yield the iterate (x, y) after each `implicit-cp` step from (x0, 0) at
-    ``entry["kappa"]``, restarted as PDLP is (Applegate, Hinder, Lu & Lubin 2023).
+def _restarted_cp(inst, p, x0, entry):
+    """Yield the iterate (x, y) after each `implicit-cp` step from (x0, 0) at the
+    `CpParams` p, restarted as PDLP is (Applegate, Hinder, Lu & Lubin 2023).
 
     A gap sent with a step (``gap = yield (x, y)``) restarts the run if it is at most
     `RESTART_DECAY` times the gap at the last restart (the first always does):
     kappa <- sqrt(kappa * ||y - y_r|| / ||x - x_r||), (x_r, y_r) the iterate at
     the last restart, unless a norm is 0, and the run goes on from the current
-    iterate. ``entry`` keeps ``kappa`` and ``restarts``."""
+    iterate at ``p = CpParams.from_kappa(kappa)``. ``entry`` keeps ``kappa`` and
+    ``restarts``."""
     state = anchor = (x0, np.zeros(inst.D.rows))
     restart_gap = np.inf
     while True:
-        p = CpParams.from_kappa(entry["kappa"])
-        step = _implicit_cp_step(inst.H, inst.f, inst.D, lam, p)
+        step = _implicit_cp_step(inst.H, inst.f, inst.D, inst.params["lam"], p)
         start = inst.gram.resolvent(p.tau)
         gap = None
         while gap is None or not gap <= RESTART_DECAY * restart_gap:
@@ -132,79 +130,65 @@ def _restarted_cp(inst, lam, x0, entry):
         dx = np.linalg.norm(state[0] - anchor[0])
         dy = np.linalg.norm(state[1] - anchor[1])
         if dx > 0 and dy > 0:
-            entry["kappa"] = float(np.sqrt(entry["kappa"] * dy / dx))
+            p = CpParams.from_kappa(float(np.sqrt(p.kappa * dy / dx)))
         anchor, restart_gap = state, gap
+        entry["kappa"] = p.kappa
         entry["restarts"] += 1
 
 
-def _anderson_dy(step, w, start, entry):
-    """Yield the current primal iterate after each evaluation of the DY map
-    T(w) = ``step(w, start)[2]``, iterated from w with type-II Anderson
-    acceleration of memory `ANDERSON_MEMORY` (Walker & Ni 2011), safeguarded.
+def _anderson_dy(inst, p, x0, entry):
+    """Yield the iterate (x, None) after each evaluation of the `implicit-dy` map
+    T(w) at the `DyParams` p, iterated from x0 with type-II Anderson acceleration
+    of memory `ANDERSON_MEMORY` (Walker & Ni 2011), safeguarded; x is the map's
+    primal point.
 
-    At the current point w with residual g = T(w) - w, and the differences
-    dT, dG of T and g between the last points kept, the extrapolated point is
-    T(w) - dT c, with c the least-squares solution of dG c = g from the
-    normal equations. It is kept only if its residual norm is at most
-    ||g||; otherwise the memory resets and the plain step T(w) is taken. A
-    singular system or a non-finite c also resets the memory and takes the
-    plain step. ``entry`` tallies every evaluation as one of
-    ``plain_steps``, ``extrapolations`` (extrapolated points kept) and
-    ``resets`` (extrapolated points rejected)."""
-    # the memory, kept in place: column j of dT and dG holds the j-th oldest
-    # difference of T and of g, and the first `size` columns are in use
-    dT = np.empty((w.size, ANDERSON_MEMORY))
-    dG = np.empty_like(dT)
-    size = 0
-
-    def remember(d_t, d_g):
-        nonlocal size
-        if ANDERSON_MEMORY == 0:  # no memory: the plain iteration
-            return
-        if size == ANDERSON_MEMORY:
-            # forget the oldest pair: in row-major order, moving every entry back
-            # by one moves each column left; the last one is overwritten below
-            for d in (dT, dG):
-                flat = d.reshape(-1)
-                flat[:-1] = flat[1:]
-            size -= 1
-        dT[:, size] = d_t
-        dG[:, size] = d_g
-        size += 1
+    The memory keeps the differences dT, dG of T and of the residual g = T(w) - w
+    between the last points kept. At the current point w, the extrapolated point
+    is T(w) - dT c, with c the least-squares solution of dG c = g from the
+    normal equations. It is kept only if its residual norm is at most ||g||;
+    otherwise the memory resets and the plain step T(w) is taken. A singular
+    system or a non-finite c also resets the memory and takes the plain step;
+    so does an empty memory, which a memory of 0 always is. ``entry`` tallies
+    every evaluation as one of ``plain_steps``, ``extrapolations``
+    (extrapolated points kept) and ``resets`` (extrapolated points rejected)."""
+    params = inst.params
+    step = _implicit_dy_step(inst.H, inst.f, inst.D, params["lam1"], params["lam2"],
+                             params["delta"], p)
+    start = inst.gram.resolvent(p.gamma)
+    # the (dT, dG) column pairs, oldest first
+    memory = deque(maxlen=ANDERSON_MEMORY)
 
     def evaluate(w):
         _, x2, tw, _ = step(w, start)
         g = tw - w
         return x2, tw, g, vector_norm(g)
 
-    x2, tw, g, g_norm = evaluate(w)
+    x2, tw, g, g_norm = evaluate(x0)
     entry["plain_steps"] += 1
-    yield x2
+    yield x2, None
     while True:
-        if size:
-            # contiguous (a full memory already is, and is not copied), so the products
-            # round as on a memory of `size` columns; BLAS rounds a strided view otherwise
-            used_T, used_G = (np.ascontiguousarray(d[:, :size]) for d in (dT, dG))
+        if memory:
+            dT, dG = (np.column_stack(d) for d in zip(*memory))
             try:
-                coef = _anderson_coefficients(used_G, g)
+                coef = _anderson_coefficients(dG, g)
             except np.linalg.LinAlgError:
                 coef = None
             if coef is not None and np.all(np.isfinite(coef)):
-                x2_aa, tw_aa, g_aa, g_aa_norm = evaluate(tw - used_T @ coef)
+                x2_aa, tw_aa, g_aa, g_aa_norm = evaluate(tw - dT @ coef)
                 if g_aa_norm <= g_norm:
                     entry["extrapolations"] += 1
-                    remember(tw_aa - tw, g_aa - g)
+                    memory.append((tw_aa - tw, g_aa - g))
                     x2, tw, g, g_norm = x2_aa, tw_aa, g_aa, g_aa_norm
-                    yield x2
+                    yield x2, None
                     continue
                 entry["resets"] += 1
-                yield x2
-            size = 0
+                yield x2, None
+            memory.clear()
         x2, tw_next, g_next, g_norm = evaluate(tw)
-        remember(tw_next - tw, g_next - g)
+        memory.append((tw_next - tw, g_next - g))
         tw, g = tw_next, g_next
         entry["plain_steps"] += 1
-        yield x2
+        yield x2, None
 
 
 def _anderson_coefficients(dG, g):

@@ -650,7 +650,8 @@ class TestReference:
         cfg = named_config(name)
         inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
         x0, entry = np.zeros(cfg.n), {"kappa": cfg.kappa, "restarts": 0}
-        stream = list(islice(refsolve._restarted_cp(inst.fresh(), cfg.lam, x0, entry), 100))
+        stream = list(islice(refsolve._restarted_cp(inst.fresh(), cfg.step_params(), x0,
+                                                    entry), 100))
         baseline = implicit_cp_run(inst.H, inst.f, inst.D, cfg.lam,
                                    CpParams.from_kappa(cfg.kappa), x0, np.zeros(inst.D.rows),
                                    100, record_invariants=True)
@@ -770,6 +771,43 @@ class TestTraceAudit:
         assert main(["audit", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and failure in captured.err
+
+    def test_repeated_row_is_a_violation(self, tmp_path, capsys):
+        cfg = named_config("cp1-run2", m=20, n=20, iters=20, out_dir=str(tmp_path))
+        path = Path(run_experiment(cfg).summary["methods"]["hpe-cp"]["trace"])
+        lines = path.read_text().splitlines()
+        # the first data row twice: every row but the first now reads k one below its index
+        path.write_text("\n".join([lines[0], lines[1], *lines[1:]]) + "\n")
+        failures = audit_trace_file(path)
+        assert failures[0] == "row 1: reads k=0, not 1"
+        assert [f for f in failures if "reads k=" in f] == [
+            f"row {i}: reads k={i - 1}, not {i}" for i in range(1, 21)]
+        assert main(["audit", str(path)]) == 2
+        assert "row 1: reads k=0, not 1\n" in capsys.readouterr().err
+
+    def test_negative_norms_and_counters_are_violations(self, tmp_path, capsys):
+        # two rows that both read k = 7, each with a negative lhs, inner_iters and h_apps
+        path = tmp_path / "negative.csv"
+        path.write_text(HEADER + "\n"
+                        "hpe-cp,7,1.0,-5,1.0,-3,-2,0,0,1.0,0.5\n"
+                        "hpe-cp,7,1.0,-5,0.5,-3,-2,0,0,0.5,0.5\n")
+        assert set(audit_trace_file(path)) == {
+            "row 0: reads k=7, not 0", "row 1: reads k=7, not 1",
+            "k=0: lhs=-5.0 is not >= 0", "k=1: lhs=-5.0 is not >= 0",
+            "row 0: inner_iters=-3 is not >= 0", "row 1: inner_iters=-3 is not >= 0",
+            "row 0: h_apps=-2 is not >= 0", "row 1: h_apps=-2 is not >= 0"}
+        assert main(["audit", str(path)]) == 2
+        assert "audit FAILED with 8 violations" in capsys.readouterr().err
+
+    def test_negative_tolerance_is_named(self, tmp_path, capsys):
+        # a negative accept_tol fails lhs = 0.1 <= sigma * rhs = 0.5; the
+        # violation that explains it is the tolerance's own
+        path = tmp_path / "tolerance.csv"
+        path.write_text(HEADER + "\nhpe-cp,0,1.0,0.1,1.0,1,10,0,-1.0,0.8,0.5\n")
+        failures = audit_trace_file(path)
+        assert "k=0: accept_tol=-1.0 is not >= 0" in failures
+        assert main(["audit", str(path)]) == 2
+        assert "k=0: accept_tol=-1.0 is not >= 0" in capsys.readouterr().err
 
     @staticmethod
     def write_rows(path, names, rows):
