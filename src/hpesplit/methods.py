@@ -15,9 +15,10 @@ from a point predicted from the previous candidates and targets, and
 Baselines: the same primal-dual iteration with a fixed-tolerance inner solve
 (`implicit_cp_run`, `implicit_dy_run`), the fully dualized explicit variant
 (`explicit_cp_run`), a forward-step primal-dual method (`condat_vu_run`), and
-plain forward-backward (`fb_run`). The implicit runners iterate `_implicit_cp_step`
-and `_implicit_dy_step` with CG started at the previous iterate, the reference
-run (`reference.py`) with CG started at a closed-form resolvent.
+plain forward-backward (`fb_run`). `_implicit_cp_step` and `_implicit_dy_step`
+take their inner solve as a parameter: the implicit runners pass CG started at
+the previous iterate, the reference run (`reference.py`) the Gram factor's
+closed-form resolvent.
 """
 
 import math
@@ -271,21 +272,21 @@ def _lsq_cg_step(H, tau, b, x_warm, cg_tol):
     return x, it
 
 
-def _implicit_cp_step(H, f, D, lam, p, cg_tol=1e-8):
-    """implicit-cp's step, ``step((x, y), start) -> ((x, y), cg_steps)``:
+def _implicit_cp_step(H, f, D, lam, p):
+    """implicit-cp's step, ``step((x, y), solve) -> ((x, y), cg_steps)``:
 
-        x <- (I + tau HtH)^{-1} b,  b = x - tau*(Dt y - Ht f)   [CG started at start(b)]
+        x <- (I + tau HtH)^{-1} b,  b = x - tau*(Dt y - Ht f)   [x, cg_steps = solve(b)]
         y <- clip(y + theta*D(2 x_new - x), lam)
 
-    CG checks whatever ``start(b)`` gives against ``cg_tol``.
+    ``solve(b) -> (x, cg_steps)`` is the inner solve: `implicit_cp_run` passes
+    `_lsq_cg_step` started at the previous x, the reference a closed form.
     """
     tau, theta = p.tau, p.theta
     htf = H.apply_adjoint(np.asarray(f, dtype=float))
 
-    def step(state, start):
+    def step(state, solve):
         x, y = state
-        b = x - tau * (D.apply_adjoint(y) - htf)
-        x_next, it = _lsq_cg_step(H, tau, b, start(b), cg_tol)
+        x_next, it = solve(x - tau * (D.apply_adjoint(y) - htf))
         return (x_next, clip(y + theta * D.apply(2.0 * x_next - x), lam)), it
 
     return step
@@ -295,10 +296,10 @@ def implicit_cp_run(H, f, D, lam, p, x0, y0, iters, cg_tol=1e-8,
                     record_invariants=False, objective=None):
     """Primal-dual iteration with the primal resolvent solved to a fixed CG
     tolerance: `_implicit_cp_step` from (x0, y0), CG warm-started at the previous x."""
-    cp_step = _implicit_cp_step(H, f, D, lam, p, cg_tol)
+    cp_step = _implicit_cp_step(H, f, D, lam, p)
 
     def step(k, state):
-        state_next, it = cp_step(state, lambda b: state[0])
+        state_next, it = cp_step(state, lambda b: _lsq_cg_step(H, p.tau, b, state[0], cg_tol))
         return state_next, StepRecord(inner=it)
 
     trace, (x, y) = iterate(step, (np.array(x0, dtype=float), np.array(y0, dtype=float)),
@@ -377,21 +378,21 @@ def _huber_forward(D, lam2, delta, x):
     return lam2 * D.apply_adjoint(huber_gradient(D.apply(x), delta))
 
 
-def _implicit_dy_step(H, f, D, lam1, lam2, delta, p, cg_tol=1e-8):
-    """implicit-dy's step at the `DyParams` p, ``step(w, start) -> (x1, x2, w_next, cg_steps)``:
+def _implicit_dy_step(H, f, D, lam1, lam2, delta, p):
+    """implicit-dy's step at the `DyParams` p, ``step(w, solve) -> (x1, x2, w_next, cg_steps)``:
 
-        x1 <- (I + gamma HtH)^{-1} b,  b = w + gamma Ht f       [CG started at start(b)]
+        x1 <- (I + gamma HtH)^{-1} b,  b = w + gamma Ht f       [x1, cg_steps = solve(b)]
         x2 <- soft(2 x1 - w - gamma*lam2*Dt grad_huber(D x1), gamma*lam1)
         w  <- w + (x2 - x1)/(1 + alpha)
 
-    CG checks whatever ``start(b)`` gives against ``cg_tol``.
+    ``solve(b) -> (x, cg_steps)`` is the inner solve: `implicit_dy_run` passes
+    `_lsq_cg_step` started at the previous x1, the reference a closed form.
     """
     gamma, alpha = p.gamma, p.alpha
     htf = H.apply_adjoint(np.asarray(f, dtype=float))
 
-    def step(w, start):
-        b = w + gamma * htf
-        x1, it = _lsq_cg_step(H, gamma, b, start(b), cg_tol)
+    def step(w, solve):
+        x1, it = solve(w + gamma * htf)
         x2 = soft_threshold(2.0 * x1 - w - gamma * _huber_forward(D, lam2, delta, x1),
                             gamma * lam1)
         return x1, x2, w + (x2 - x1) / (1.0 + alpha), it
@@ -406,12 +407,13 @@ def implicit_dy_run(H, f, D, lam1, lam2, delta, w0, iters, gamma=None, cg_tol=1e
     x1; beta = 4*lam2, and gamma defaults as in `DyParams.from_beta`."""
     # validates gamma in (0, 2/beta)
     params = DyParams.from_beta(4.0 * lam2, gamma=gamma)
-    dy_step = _implicit_dy_step(H, f, D, lam1, lam2, delta, params, cg_tol)
+    dy_step = _implicit_dy_step(H, f, D, lam1, lam2, delta, params)
     w0 = np.array(w0, dtype=float)
 
     def step(k, state):
         _, w, x_prev = state
-        x1, x2, w_next, it = dy_step(w, lambda b: x_prev)
+        x1, x2, w_next, it = dy_step(
+            w, lambda b: _lsq_cg_step(H, params.gamma, b, x_prev, cg_tol))
         return (x2, w_next, x1), StepRecord(inner=it)
 
     trace, (x2, w, x1) = iterate(step, (w0, w0, w0.copy()), iters, objective,

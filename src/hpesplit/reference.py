@@ -3,12 +3,12 @@ family and weights come from ``inst.params``), its stepsizes and its cap."""
 
 from collections import deque
 from functools import partial
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
 from .linalg import NumericalError, vector_norm
-from .methods import CpParams, _implicit_cp_step, _implicit_dy_step
+from .methods import CpParams, _implicit_cp_step, _implicit_dy_step, _lsq_cg_step
 
 # the reference stops once its best objective is within REFERENCE_GAP of its best
 # dual bound, checking both every REFERENCE_CHUNK steps; the DY reference mixes
@@ -26,18 +26,24 @@ def reference_run(inst, p, cap):
 
     The family's stream (`_restarted_cp`, `_anderson_dy`) is built the same way,
     ``stream(inst, p, x0, entry)``, and yields the same shape, the iterate (x, y)
-    after each step, with y the dual for CP and None for DY; every CG is started
-    at the Gram factor's closed-form resolvent and checked at 1e-8. Every
+    after each step, with y the dual for CP and None for DY; every inner solve is
+    the Gram factor's closed-form resolvent, checked by CG once per
+    `REFERENCE_CHUNK` steps (`_checked_resolvent`). Every
     `REFERENCE_CHUNK` steps the objective and the dual bound are evaluated once
     at x, and their gap goes with the next step. A checkpoint with a dual also
     evaluates both at `_polish_cp`'s point, if there is one, and keeps them
     unless they are not finite; that point never enters the stream. It stops
     once the lowest objective minus the highest bound is at most `REFERENCE_GAP`
     (``stop = "certificate"``) or after ``cap`` steps (``"cap"``; at 0, at x0).
-    Returns the lowest objective and the summary's reference entry."""
+    Returns the lowest objective and the summary's reference entry. CP needs
+    ``p.kappa``, which its restarts adapt: a `CpParams` built from tau and theta
+    is a ValueError before any step."""
     fresh, params, entry = inst.fresh(), inst.params, {"cap": cap}
     x0 = np.zeros(fresh.n)
     if "lam" in params:
+        if p.kappa is None:
+            raise ValueError("the CP reference restarts by adapting kappa, so its "
+                             "CpParams need one (CpParams.from_kappa); got kappa=None")
         entry.update(method="implicit-cp", kappa=p.kappa, restarts=0, polishes=0)
         make_stream, polish = _restarted_cp, partial(_polish_cp, fresh, params["lam"])
     else:
@@ -108,9 +114,34 @@ def _polish_cp(inst, lam, y):
     return np.repeat(z, np.diff(starts, append=inst.n))
 
 
+def _checked_resolvent(inst, tau, method, steps):
+    """The inner solve ``solve(b) -> (x, 0)`` of a reference step, x = (I + tau
+    HtH)^{-1} b from the Gram factor's closed form, with no CG.
+
+    ``steps`` counts the solves of the whole stream: the first of every
+    `REFERENCE_CHUNK` (steps 1, 101, ...) is checked as implicit-cp and
+    implicit-dy check theirs, by `_lsq_cg_step` started at x at 1e-8. If CG
+    would take a step there, it raises NumericalError naming the ``method``'s
+    reference, the step and the closed form's relative residual."""
+    closed, H = inst.gram.resolvent(tau), inst.H
+
+    def solve(b):
+        x, k = closed(b), next(steps)
+        if k % REFERENCE_CHUNK == 0 and _lsq_cg_step(H, tau, b, x, 1e-8)[1]:
+            residual = b - (x + tau * H.apply_adjoint_uncounted(H.apply_uncounted(x)))
+            raise NumericalError(
+                f"{method} reference: the closed-form resolvent fails the CG check "
+                f"at step {k + 1}, relative residual "
+                f"{vector_norm(residual) / max(vector_norm(b), 1e-300):.3e} > 1e-8")
+        return x, 0
+
+    return solve
+
+
 def _restarted_cp(inst, p, x0, entry):
     """Yield the iterate (x, y) after each `implicit-cp` step from (x0, 0) at the
-    `CpParams` p, restarted as PDLP is (Applegate, Hinder, Lu & Lubin 2023).
+    `CpParams` p, restarted as PDLP is (Applegate, Hinder, Lu & Lubin 2023); its
+    inner solve is `_checked_resolvent` at p.tau.
 
     A gap sent with a step (``gap = yield (x, y)``) restarts the run if it is at most
     `RESTART_DECAY` times the gap at the last restart (the first always does):
@@ -119,13 +150,13 @@ def _restarted_cp(inst, p, x0, entry):
     iterate at ``p = CpParams.from_kappa(kappa)``. ``entry`` keeps ``kappa`` and
     ``restarts``."""
     state = anchor = (x0, np.zeros(inst.D.rows))
-    restart_gap = np.inf
+    restart_gap, steps = np.inf, count()
     while True:
         step = _implicit_cp_step(inst.H, inst.f, inst.D, inst.params["lam"], p)
-        start = inst.gram.resolvent(p.tau)
+        solve = _checked_resolvent(inst, p.tau, "implicit-cp", steps)
         gap = None
         while gap is None or not gap <= RESTART_DECAY * restart_gap:
-            state, _ = step(state, start)
+            state, _ = step(state, solve)
             gap = yield state
         dx = np.linalg.norm(state[0] - anchor[0])
         dy = np.linalg.norm(state[1] - anchor[1])
@@ -140,7 +171,7 @@ def _anderson_dy(inst, p, x0, entry):
     """Yield the iterate (x, None) after each evaluation of the `implicit-dy` map
     T(w) at the `DyParams` p, iterated from x0 with type-II Anderson acceleration
     of memory `ANDERSON_MEMORY` (Walker & Ni 2011), safeguarded; x is the map's
-    primal point.
+    primal point, and its inner solve is `_checked_resolvent` at p.gamma.
 
     The memory keeps the differences dT, dG of T and of the residual g = T(w) - w
     between the last points kept. At the current point w, the extrapolated point
@@ -154,12 +185,12 @@ def _anderson_dy(inst, p, x0, entry):
     params = inst.params
     step = _implicit_dy_step(inst.H, inst.f, inst.D, params["lam1"], params["lam2"],
                              params["delta"], p)
-    start = inst.gram.resolvent(p.gamma)
+    solve = _checked_resolvent(inst, p.gamma, "implicit-dy", count())
     # the (dT, dG) column pairs, oldest first
     memory = deque(maxlen=ANDERSON_MEMORY)
 
     def evaluate(w):
-        _, x2, tw, _ = step(w, start)
+        _, x2, tw, _ = step(w, solve)
         g = tw - w
         return x2, tw, g, vector_norm(g)
 

@@ -442,9 +442,13 @@ class TestReference:
 
         monkeypatch.setattr(methods, "cg_solve", spy_solve)
         monkeypatch.setattr(cli, "run_method", spy_run)
-        run_experiment(cfg)
+        iterations = run_experiment(cfg).summary["reference"]["iterations"]
         reference, requested = solves[:first_requested[0]], solves[first_requested[0]:]
-        assert reference and all(steps == 0 for *_, steps in reference)
+        # the closed form stands in for CG; CG checks it once per checkpoint
+        # chunk, at the chunk's first step, and takes no step
+        chunk = refsolve.REFERENCE_CHUNK
+        assert len(reference) == -(-iterations // chunk) >= 1
+        assert all(steps == 0 for *_, steps in reference)
         # the requested baseline starts CG at its previous iterate, as before
         assert len(requested) == cfg.iters and requested[0][2] > 0
         for (_, previous, _), (start, _, _) in zip(requested, requested[1:]):
@@ -562,18 +566,18 @@ class TestReference:
     @staticmethod
     def spied_cp_steps(cfg, monkeypatch):
         """The CP reference entry and its runs between restarts, each as
-        (CpParams, starts, steps): the set of CG starts its steps were given,
+        (CpParams, solves, steps): the set of inner solves its steps were given,
         and a list of (state, next state, cg_steps)."""
         factory = refsolve._implicit_cp_step
         runs = []
 
         def spy(H, f, D, lam, p, *args, **kwargs):
-            step, starts, steps = factory(H, f, D, lam, p, *args, **kwargs), set(), []
-            runs.append((p, starts, steps))
+            step, solves, steps = factory(H, f, D, lam, p, *args, **kwargs), set(), []
+            runs.append((p, solves, steps))
 
-            def spied(state, start):
-                starts.add(start)
-                state_next, cg_steps = step(state, start)
+            def spied(state, solve):
+                solves.add(solve)
+                state_next, cg_steps = step(state, solve)
                 steps.append((state, state_next, cg_steps))
                 return state_next, cg_steps
             return spied
@@ -638,15 +642,16 @@ class TestReference:
         assert len({p.kappa for p, *_ in runs}) > 1
         inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
         probe = np.random.default_rng(0).standard_normal(cfg.n)
-        for p, starts, steps in runs:
-            (start,) = starts
-            assert np.array_equal(start(probe), inst.gram.resolvent(p.tau)(probe))
+        for p, solves, steps in runs:
+            (solve,) = solves
+            x, cg_steps = solve(probe)
+            assert np.array_equal(x, inst.gram.resolvent(p.tau)(probe)) and cg_steps == 0
             assert max(cg_steps for *_, cg_steps in steps) == 0
 
     @pytest.mark.parametrize("name", ["cp1-run1", "cp1-run2", "cp2"])
     def test_cp_stream_follows_the_baseline(self, name):
         # before its first restart the stream is implicit-cp at the same kappa,
-        # with CG started at the closed form instead of the previous iterate
+        # with the closed form in place of CG started at the previous iterate
         cfg = named_config(name)
         inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
         x0, entry = np.zeros(cfg.n), {"kappa": cfg.kappa, "restarts": 0}

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 
 from hpesplit import reference as refsolve
 from hpesplit.cli import HUBER_DELTA, named_config, run_experiment
-from hpesplit.problems import make_cp_instance, make_dy_instance
+from hpesplit.linalg import NumericalError
+from hpesplit.methods import CpParams, _lsq_cg_step
+from hpesplit.problems import GramFactor, make_cp_instance, make_dy_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -179,3 +182,71 @@ def test_dy_reference_where_resets_matter_most(name, steps, tmp_path):
     counts = ("iterations", "plain_steps", "extrapolations", "resets")
     assert tuple(reference[k] for k in counts) == steps
     assert reference["stop"] == "certificate"
+
+
+def test_cp_params_without_kappa_are_rejected_before_any_step(monkeypatch):
+    # the restarts adapt kappa, so tau and theta alone are not enough
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was built")
+
+    monkeypatch.setattr(refsolve, "_implicit_cp_step", no_step)
+    with pytest.raises(ValueError, match="kappa"):
+        refsolve.reference_run(make_cp_instance(60, 60, 0, 1.0),
+                               CpParams(tau=5.0, theta=0.05), 5000)
+
+
+def named_instance(name, **overrides):
+    """A named experiment's config and the instance it generates."""
+    cfg = named_config(name, **overrides)
+    if cfg.family == "cp":
+        return cfg, make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
+    return cfg, make_dy_instance(cfg.m, cfg.n, cfg.seed, cfg.lam1, cfg.lam2, HUBER_DELTA,
+                                 kind=cfg.spectrum_kind)
+
+
+def stream_iterates(inst, p, steps):
+    """The family's reference stream for `steps` steps, sent each checkpoint's
+    gap as `reference_run` sends it, so the CP stream restarts as it does there."""
+    if "lam" in inst.params:
+        make_stream, entry = refsolve._restarted_cp, {"kappa": p.kappa, "restarts": 0}
+    else:
+        make_stream, entry = refsolve._anderson_dy, dict.fromkeys(
+            ("plain_steps", "extrapolations", "resets"), 0)
+    stream, iterates, gap = make_stream(inst.fresh(), p, np.zeros(inst.n), entry), [], None
+    for k in range(1, steps + 1):
+        iterates.append(stream.send(gap))
+        x = iterates[-1][0]
+        gap = (inst.objective(x) - inst.lower_bound(x)
+               if k % refsolve.REFERENCE_CHUNK == 0 else None)
+    return iterates, entry
+
+
+@pytest.mark.parametrize("name", ["cp1-run2", "dy-run3"])
+def test_closed_form_stream_is_the_checked_stream(name, monkeypatch):
+    # the closed form alone gives the bits that CG checking every solve gave
+    cfg, inst = named_instance(name)
+    closed_form, closed_entry = stream_iterates(inst, cfg.step_params(), 300)
+
+    def checked(inst, tau, method, steps):
+        closed = inst.gram.resolvent(tau)
+        return lambda b: _lsq_cg_step(inst.H, tau, b, closed(b), 1e-8)
+
+    monkeypatch.setattr(refsolve, "_checked_resolvent", checked)
+    every_step, entry = stream_iterates(inst, cfg.step_params(), 300)
+    assert entry == closed_entry
+    if cfg.family == "cp":
+        assert entry["restarts"] >= 1
+    for ours, theirs in zip(closed_form, every_step, strict=True):
+        for part, other in zip(ours, theirs):
+            assert (part is None and other is None) or np.array_equal(part, other)
+
+
+@pytest.mark.parametrize("name, method", [("cp1-run2", "implicit-cp"),
+                                          ("dy-run3", "implicit-dy")])
+def test_a_wrong_closed_form_fails_the_first_guarded_step(name, method):
+    cfg, inst = named_instance(name)
+    wrong = replace(inst, gram=GramFactor(inst.gram.V, 1.1 * inst.gram.s))
+    with pytest.raises(NumericalError, match=rf"^{method} reference: the closed-form "
+                                             r"resolvent fails the CG check at step 1, "
+                                             r"relative residual \d\.\d{3}e[-+]\d+ > 1e-8$"):
+        refsolve.reference_run(wrong, cfg.step_params(), cfg.iters * cfg.ref_factor)
