@@ -411,15 +411,15 @@ def run_experiment(cfg):
     runs = {}
     for name in cfg.methods:
         t0 = time.perf_counter()
-        entry = {"certification_failure": None, "wall_s": None}
+        # entered when the method starts, so the summary lists methods in run order
+        entry = summary["methods"][name] = {"certification_failure": None, "wall_s": None}
         try:
             mres = run_method(name, cfg, inst, norms)
         except CertificationError as err:
             entry["certification_failure"] = str(err)
-            entry["wall_s"] = time.perf_counter() - t0
-            summary["methods"][name] = entry
             continue
-        entry["wall_s"] = time.perf_counter() - t0
+        finally:
+            entry["wall_s"] = time.perf_counter() - t0
         runs[name] = (mres, entry)
         if len(mres.trace):
             candidates.append(min(mres.trace.objective))
@@ -450,7 +450,6 @@ def run_experiment(cfg):
             report = audit_invariants(trace, trace.sigma)
             entry["audit_ok"] = report.ok
             entry["audit_failures"] = report.failures[:10]
-        summary["methods"][name] = entry
 
     phases["output_s"] = time.perf_counter() - t
     with open(out_dir / "summary.json", "w") as fh:

@@ -148,19 +148,18 @@ def eckstein_yao_run(a1_oracle, j_a2, tau, sigma, w0, iters, inner_cap=200,
     def step(k, state):
         nonlocal crosscheck
         w = state[1]
-        w_next, (x1, x2, a1, ta2), rec = reduced_hpe_run(a1_oracle, assemble, k, w, cfg,
-                                                         "hpe-dr")
+        w_next, (_, x2, a1, ta2), rec = reduced_hpe_run(a1_oracle, assemble, k, w, cfg,
+                                                        "hpe-dr")
         gap = float(np.linalg.norm(w - (tau * a1 + ta2) - w_next))
         crosscheck = max(crosscheck, gap)
         if gap > 1e-10 * (1.0 + np.linalg.norm(w_next)):
             raise NumericalError(f"step-9 update forms disagree at iteration {k}: {gap:.3e}")
-        return (x2, w_next, x1), rec
+        return (x2, w_next), rec
 
     w0 = np.array(w0, dtype=float)
-    trace, (x2, w, x1) = iterate(step, (w0, w0, None), iters, objective,
-                                 _counter(a1_oracle),
-                                 itemgetter(1) if record_invariants else None, "hpe-dr", sigma)
-    return MethodResult(trace, x2, aux={"w": w, "x1": x1, "update_crosscheck": crosscheck})
+    trace, (x2, w) = iterate(step, (w0, w0), iters, objective, _counter(a1_oracle),
+                             itemgetter(1) if record_invariants else None, "hpe-dr", sigma)
+    return MethodResult(trace, x2, aux={"w": w, "update_crosscheck": crosscheck})
 
 
 def inexact_cp_run(a1_oracle, K, j_a2_inv, p, x0, y0, iters, inner_cap=200,
@@ -240,14 +239,13 @@ def inexact_dy_run(a1_oracle, j_a2, b_apply, p, w0, iters, inner_cap=200,
         return (x1, x2), z, s
 
     def step(k, state):
-        w_next, (x1, x2), rec = reduced_hpe_run(a1_oracle, assemble, k, state[1], cfg, "hpe-dy")
-        return (x2, w_next, x1), rec
+        w_next, (_, x2), rec = reduced_hpe_run(a1_oracle, assemble, k, state[1], cfg, "hpe-dy")
+        return (x2, w_next), rec
 
     w0 = np.array(w0, dtype=float)
-    trace, (x2, w, x1) = iterate(step, (w0, w0, None), iters, objective,
-                                 _counter(a1_oracle),
-                                 itemgetter(1) if record_invariants else None, "hpe-dy", p.sigma)
-    return MethodResult(trace, x2, aux={"x1": x1, "w": w})
+    trace, (x2, w) = iterate(step, (w0, w0), iters, objective, _counter(a1_oracle),
+                             itemgetter(1) if record_invariants else None, "hpe-dy", p.sigma)
+    return MethodResult(trace, x2, aux={"w": w})
 
 
 # ---------------------------------------------------------------------------

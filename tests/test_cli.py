@@ -421,6 +421,12 @@ class TestRunMethod:
         direct = self.dy_runs(inst.fresh(), cfg, norms)[name]()
         assert np.array_equal(cli.run_method(name, cfg, inst, norms).final_x, direct.final_x)
 
+    def test_unknown_method_rejected(self):
+        cfg = named_config("cp1-run2", m=10, n=10, iters=1)
+        inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam)
+        with pytest.raises(ValueError, match="unknown method 'newton'"):
+            cli.run_method("newton", cfg, inst, self.norms(inst))
+
 
 class TestReference:
     @pytest.mark.parametrize("name", sorted(NAMED_EXPERIMENTS))
@@ -682,6 +688,13 @@ class TestReference:
         assert all(value >= 0.0 for value in summary["phases"].values())
         on_disk = json.loads((tmp_path / "custom" / "summary.json").read_text())
         assert on_disk["phases"] == summary["phases"]
+
+    def test_environment_without_a_blas_config(self, monkeypatch):
+        # numpy builds whose show_config takes no mode record no BLAS name or version
+        def show_config(mode=None):
+            raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+        monkeypatch.setattr(np, "show_config", show_config)
+        assert cli._environment()["blas"] == {"name": None, "version": None}
 
     def test_environment_recorded(self, tmp_path):
         environment = run_experiment(small_config(out_dir=str(tmp_path))).summary["environment"]
@@ -961,12 +974,16 @@ class TestMainCli:
         ("cp1-run2", "experiment = ..", "experiment name '..' is not a directory name"),
         ("cp1-run2", "lam = 0.5; lam = 2.0", "{cfg}:{line}: lam is already set on line {prev}"),
         ("cp1-run2", "experiment = a\0b", "experiment name 'a\\x00b' is not a directory name"),
+        ("cp1-run2", "family = xx", "unknown family 'xx'"),
+        ("cp1-run2", "emit_wall_times = yes",
+         "{cfg}:{line}: emit_wall_times must be true or false, got 'yes'"),
     ], ids=["sigma", "kappa", "gamma", "m", "seed", "kappa-on-dy", "gamma-on-cp",
             "ref_factor", "spectrum_kind", "lam", "lam1", "lam2", "sigma-not-a-number",
             "ref_factor-not-an-integer", "repeated-method", "out-below-a-file",
             "kappa-nan", "lam-nan", "lam-inf", "lam1-nan", "lam1-inf", "lam2-nan",
             "experiment-escapes-out", "experiment-empty", "experiment-dot",
-            "experiment-dotdot", "repeated-key", "experiment-nul"])
+            "experiment-dotdot", "repeated-key", "experiment-nul", "family",
+            "emit_wall_times-not-a-bool"])
     def test_bad_parameter_fails_before_any_work(self, tmp_path, capsys, name, setting,
                                                  message):
         # a regular file that an output directory cannot be made below
@@ -992,6 +1009,18 @@ class TestMainCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists() and not (tmp_path / "escaped").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("family = cp\nlam = 0.5\n", "cp experiments need kappa"),
+        ("family = dy\nlam2 = 0.1\n", "dy experiments need lam1"),
+    ], ids=["cp-without-kappa", "dy-without-lam1"])
+    def test_missing_family_key_fails_before_any_work(self, tmp_path, capsys, text, message):
+        path = tmp_path / "short.cfg"
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_nul_in_out_dir_fails_before_any_work(self, tmp_path, capsys):
         # --out would override the file's out_dir, so the file alone gives it
@@ -1049,12 +1078,14 @@ class TestMainCli:
             "iters = 5\n"
             "inner_cap = 1\n"
             "ref_factor = 1\n"
-            "methods = hpe-cp, implicit-cp\n"
+            "methods = implicit-cp, hpe-cp\n"
             f"out_dir = {tmp_path}\n"
         )
         assert main(["run", str(path), "--seed", "2"]) == 2
-        out = capsys.readouterr().out
-        assert "CERTIFICATION FAILURE" in out
+        # one line per method, in the order they ran
+        lines = capsys.readouterr().out.splitlines()[2:]
+        assert [line.split(":")[0].strip() for line in lines] == ["implicit-cp", "hpe-cp"]
+        assert "CERTIFICATION FAILURE" in lines[1]
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HPESPLIT_OUT", str(tmp_path / "envout"))

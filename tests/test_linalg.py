@@ -78,6 +78,11 @@ class TestLinearMap:
         with pytest.raises(ValueError):
             A.apply_adjoint(np.ones(2))
 
+    @pytest.mark.parametrize("matrix", [np.ones(3), np.ones((2, 2, 2))], ids=["1-d", "3-d"])
+    def test_needs_a_2d_matrix(self, matrix):
+        with pytest.raises(ValueError, match="LinearMap needs a 2-d matrix, got shape"):
+            LinearMap(matrix)
+
     def test_matrix_frozen(self):
         A = LinearMap.identity(2)
         with pytest.raises(ValueError):
@@ -268,6 +273,20 @@ class TestCgSolve:
             cg_solve(lambda v: v * np.inf, np.ones(3), x0=np.ones(3),
                      stop=StoppingRule.relative_residual(1e-8))
 
+    def test_apply_of_the_wrong_shape_rejected(self):
+        # a column for a vector broadcasts against b, so only the shape check catches it
+        with pytest.raises(ValueError, match=r"apply\(x\) shape does not match b"):
+            cg_solve(lambda v: v[:, None], np.ones(3),
+                     stop=StoppingRule.relative_residual(1e-8))
+
+    def test_zero_curvature_stops_without_a_step(self):
+        # A = diag(1, 0) with b outside its range: the first direction has zero
+        # curvature, so CG stops there instead of dividing by it
+        x, k = cg_solve(lambda v: np.array([1.0, 0.0]) * v, np.array([0.0, 1.0]),
+                        stop=StoppingRule.relative_residual(1e-8))
+        assert k == 0
+        np.testing.assert_array_equal(x, 0.0)
+
     def test_cap_stops(self):
         rng = np.random.default_rng(9)
         G = rng.standard_normal((40, 40))
@@ -294,6 +313,19 @@ class TestCgSteps:
         with pytest.raises(NumericalError, match="curvature at CG step 0"):
             next(cg_steps(np.zeros(3), np.ones(3), curvature=lambda p: np.inf,
                           residual=lambda x: np.ones(3) - x))
+
+    @pytest.mark.parametrize("bad_step", [0, 2])
+    def test_nonfinite_replaced_residual_raises_at_its_step(self, bad_step):
+        calls = []
+
+        def residual(x):
+            calls.append(x)
+            return np.full(3, np.nan) if len(calls) > bad_step else np.ones(3) / len(calls)
+
+        steps = cg_steps(np.zeros(3), np.ones(3), curvature=lambda p: float(p @ p),
+                         residual=residual)
+        with pytest.raises(NumericalError, match=f"non-finite residual at CG step {bad_step}"):
+            list(steps)
 
     def test_replaced_residual_matches_recurrence(self):
         rng = np.random.default_rng(5)

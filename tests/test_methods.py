@@ -6,6 +6,7 @@ from hpesplit.linalg import LinearMap, NumericalError, StoppingRule, estimate_sp
 from hpesplit.methods import (
     CpParams,
     DyParams,
+    _lsq_cg_step,
     condat_vu_run,
     eckstein_yao_run,
     explicit_cp_run,
@@ -419,6 +420,20 @@ class TestImplicitCp:
         for k in range(1, len(h)):
             assert h[k] - h[k - 1] == 2 + 2 * inner[k]
 
+    def test_cg_cap_exhausted_above_the_tolerance_raises(self):
+        # 10 n = 50 CG steps cannot reach a relative residual of 1e-300
+        H = LinearMap(np.random.default_rng(0).standard_normal((5, 5)))
+        with pytest.raises(NumericalError, match="inner CG cap 50 exhausted at relative"):
+            _lsq_cg_step(H, 1.0, np.ones(5), np.zeros(5), 1e-300)
+
+    def test_cg_below_the_tolerance_returns_before_the_cap(self):
+        H = LinearMap(np.random.default_rng(0).standard_normal((5, 5)))
+        b = np.ones(5)
+        x, it = _lsq_cg_step(H, 1.0, b, np.zeros(5), 1e-8)
+        assert it == 5
+        Hm = H.as_matrix()
+        assert np.linalg.norm(b - (x + Hm.T @ (Hm @ x))) <= 1e-8 * np.linalg.norm(b)
+
 
 class TestExplicitCp:
     def test_zero_data_dual_decays_geometrically(self):
@@ -771,11 +786,20 @@ class TestNanParameterGuards:
         (lambda H, f: estimate_spectral_norm(H, max_iter=NAN), "max_iter must be >= 1, got nan"),
         (lambda H, f: gen_signal_and_data(H, 0, noise_std=NAN),
          "noise_std must be nonnegative, got nan"),
+        (lambda H, f: CpParams(tau=NAN, theta=1.0),
+         "stepsizes must be positive, got tau=nan, theta=1.0"),
+        (lambda H, f: DyParams(gamma=1.0, beta=NAN), "beta must be nonnegative, got nan"),
+        (lambda H, f: DyParams(gamma=1.0, beta=1.0, sigma=NAN),
+         r"sigma must be in \[0, 1\), got nan"),
+        (lambda H, f: condat_vu_run(H, f, H, 0.1, 0.5, NAN, np.zeros(4), np.zeros(4), 1,
+                                    norm_H=1.0, norm_D=1.0),
+         r"theta must lie in \(0, 1\.5\), got nan"),
     ], ids=["clip", "soft_threshold", "huber_value", "huber_gradient", "LsqResolvent",
             "eckstein_yao_run", "explicit_cp_run", "HpeConfig", "HpeConfig-inner_cap",
             "StoppingRule", "validate_norm", "estimate_spectral_norm",
             "estimate_spectral_norm-max_iter",
-            "gen_signal_and_data"])
+            "gen_signal_and_data", "CpParams", "DyParams-beta", "DyParams-sigma",
+            "condat_vu_run-theta"])
     def test_nan_rejected(self, call, message):
         Hm, f = make_instance(seed=1, m=4, n=4)
         with pytest.raises(ValueError, match=message):

@@ -329,6 +329,20 @@ class TestPredictedStart:
         x, _ = oracle.set_target(r)
         assert self.slope(x, -4 * r, 2 * r) == pytest.approx(1.0, abs=1e-12)
 
+    def test_unmoved_target_starts_at_the_candidate(self):
+        # the third target repeats the second, so the secant has no move to divide
+        # by: the start is the current candidate, with no 0/0
+        H, Hm, f, tau, rng = self.setup_problem()
+        rhs = rng.standard_normal(H.cols)
+        oracle = LsqResolvent(H, f, tau)
+        for _ in range(2):
+            oracle.set_target(rhs)
+            oracle.refine()
+        x_last = oracle.candidate
+        x, a = oracle.set_target(rhs)
+        np.testing.assert_array_equal(x, x_last)
+        np.testing.assert_array_equal(a, Hm.T @ (Hm @ x - f))
+
     def test_second_target_shifts_by_the_full_move(self):
         H, _, f, tau, rng = self.setup_problem()
         rhs, rhs2 = rng.standard_normal(H.cols), rng.standard_normal(H.cols)

@@ -27,6 +27,11 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum("linear", 5)
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_values_rejected(self, count):
+        with pytest.raises(ValueError, match=f"need at least 2 singular values, got {count}"):
+            spectrum("cosine", count)
+
 
 class TestIllcondMatrix:
     def test_two_by_two_cosine_is_rank_one(self):
