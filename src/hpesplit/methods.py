@@ -9,7 +9,7 @@ oracle's (candidate, witness) pair; `certify` refines until the relative-error
 check passes. DR and DY go through the reduced step `hpe.reduced_hpe_run`, CP
 through its own M-seminorm check. An oracle is anything with the
 `LsqResolvent` protocol: ``set_target(rhs) -> (candidate, witness)`` starting
-from a point predicted from the previous candidates and targets, and
+from a point projected from the previous candidates and targets, and
 ``refine() -> (candidate, witness)`` for one improvement.
 
 Baselines: the same primal-dual iteration with a fixed-tolerance inner solve

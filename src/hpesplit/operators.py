@@ -53,6 +53,11 @@ def huber_gradient(y, delta):
     return np.where(np.abs(y) <= delta, y, delta * np.sign(y))
 
 
+# moves of the candidate that `LsqResolvent` keeps for its projected start; a
+# full basis restarts from the newest move
+RECYCLE_MEMORY = 16
+
+
 class LsqResolvent:
     """Refinable inexact resolvent of the least-squares operator x -> Ht(H x - f).
 
@@ -69,9 +74,9 @@ class LsqResolvent:
     A refinement therefore costs 3 `H` applications (the curvature, then the
     fresh witness's two), and a stalled one none.
 
-    Each new target starts CG at a point predicted from the last candidate and
-    the target's move (see `set_target`); that is the warm start used by the
-    outer splitting loops. The witness is recomputed there as well.
+    Each new target starts CG at a point projected from the candidate's recent
+    moves (see `set_target`); that is the warm start used by the outer
+    splitting loops. The witness is recomputed there as well.
     """
 
     def __init__(self, H, f, tau, x0=None):
@@ -79,12 +84,26 @@ class LsqResolvent:
             raise ValueError(f"tau must be positive, got {tau}")
         self.H = H
         self.f = np.asarray(f, dtype=float)
+        if self.f.shape != (H.rows,):
+            raise ValueError(f"f must be a vector of length {H.rows} for a {H.shape} H, "
+                             f"got shape {self.f.shape}")
         self.tau = float(tau)
         self._x = np.zeros(H.cols) if x0 is None else np.array(x0, dtype=float)
+        if self._x.shape != (H.cols,):
+            raise ValueError(f"x0 must be a vector of length {H.cols} for a {H.shape} H, "
+                             f"got shape {self._x.shape}")
         self._a = None
         self._rhs = None
+        self._scale = None  # 1 + ||rhs||, for the stall test
         self._last = None  # (previous target, the candidate accepted for it)
         self._steps = None
+        # rows 0.._k-1: an A-orthonormal basis W of the candidate's moves between
+        # projected starts and its images A W, A = I + tau HtH; `_pair` is the
+        # (x, x + tau a) pair the last projection started from
+        self._W = np.empty((RECYCLE_MEMORY, H.cols))
+        self._AW = np.empty((RECYCLE_MEMORY, H.cols))
+        self._k = 0
+        self._pair = None
 
     @property
     def candidate(self):
@@ -93,8 +112,7 @@ class LsqResolvent:
     @property
     def stalled(self):
         """True once the residual sits at the rounding floor; refining is a no-op then."""
-        scale = 1.0 + vector_norm(self._rhs) + vector_norm(self._x)
-        return math.sqrt(self._rs) <= 1e-15 * scale
+        return math.sqrt(self._rs) <= 1e-15 * (self._scale + vector_norm(self._x))
 
     def _curvature(self, p):
         """p^T (I + tau HtH) p in the CGLS form ||p||^2 + tau ||H p||^2."""
@@ -122,14 +140,53 @@ class LsqResolvent:
             return 1.0
         return min(max(float((self._x - self._last[1]) @ move) / denom, 0.0), 1.0)
 
-    def set_target(self, rhs, warm_start=None):
-        """Point the oracle at a new resolvent argument and start CG at a predicted point.
+    def _add_move(self, y):
+        """A-orthonormalize the candidate's move since the last projection into W.
 
-        The resolvent is affine in rhs, so every target after the first starts
-        at x + c (rhs - rhs_prev), the last candidate shifted by the target's
-        move scaled by the secant slope c of `_slope`. The first target starts
+        y = x + tau a is the candidate's image under A, less tau Ht f. Both ends
+        of the move are exact (candidate, witness) pairs, so its image A dx is
+        the move of y, with no `H` product. A move at rounding level, or one
+        that W already holds to within 1e-6 of its A-norm, is dropped; a full
+        basis restarts from the move alone.
+        """
+        x = self._x
+        last, self._pair = self._pair, (x, y)
+        if last is None:
+            return
+        dx, adx = x - last[0], y - last[1]
+        before = float(dx @ adx)
+        if not before > 1e-24 * float(x @ x):
+            return
+        if self._k == RECYCLE_MEMORY:
+            self._k = 0
+        W, AW = self._W[:self._k], self._AW[:self._k]
+        # twice: the moves are nearly parallel, and one pass leaves W far from
+        # A-orthonormal
+        for _ in range(2):
+            h = W @ adx
+            dx -= h @ W
+            adx -= h @ AW
+        after = float(dx @ adx)
+        if not after > 1e-12 * before:
+            return
+        norm = math.sqrt(after)
+        self._W[self._k] = dx / norm
+        self._AW[self._k] = adx / norm
+        self._k += 1
+
+    def set_target(self, rhs, warm_start=None):
+        """Point the oracle at a new resolvent argument and start CG at a projected point.
+
+        Every target after the first starts from the current candidate x with
+        its exact residual r = rhs - x - tau a for the new target. The A-energy
+        best correction within span(W) is W c with c = W^T r; the residual
+        left over is scaled by the secant slope s of `_slope`:
+
+            start = x + W c + s (r - A W c).
+
+        That needs no `H` product, since A W is stored. The first target starts
         at the current candidate, and an explicit `warm_start` replaces the
-        prediction. The witness is recomputed at the start point (2 `H`
+        projection. The witness is recomputed at the start point (2 `H`
         applications), so the (candidate, witness) pair stays exact.
         """
         rhs = np.array(rhs, dtype=float)
@@ -138,10 +195,16 @@ class LsqResolvent:
         elif self._rhs is None:
             start = self._x
         else:
-            start = self._x + self._slope() * (rhs - self._rhs)
+            y = self._x + self.tau * self._a
+            self._add_move(y)
+            r = rhs - y
+            W, AW = self._W[:self._k], self._AW[:self._k]
+            c = W @ r
+            start = self._x + c @ W + self._slope() * (r - c @ AW)
         if self._rhs is not None:
             self._last = (self._rhs, self._x)
         self._rhs = rhs
+        self._scale = 1.0 + vector_norm(rhs)
         res = self._residual(start)
         self._rs = float(res @ res)
         self._steps = cg_steps(self._x, res, curvature=self._curvature,

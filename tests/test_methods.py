@@ -245,6 +245,17 @@ class TestInexactCp:
         for k in range(1, len(h)):
             assert h[k] - h[k - 1] == 2 + 3 * inner[k]
 
+    def test_projected_start_keeps_h_apps_near_the_set_target_floor(self):
+        # a 48 x 48 analog of cp1-run1 (sigma = 0.01): each step costs at least
+        # the start's 2 `H` applications, 400 in all; started on the secant
+        # along the target's move instead, the run spends 1,588
+        n, lam, iters = 48, 20.0, 200
+        inst = make_cp_instance(n, n, 0, lam)
+        p = CpParams.from_kappa(0.5, sigma=0.01)
+        res = inexact_cp_run(LsqResolvent(inst.H, inst.f, p.tau), inst.D,
+                             lambda v: clip(v, lam), p, np.zeros(n), np.zeros(n - 1), iters)
+        assert res.trace.h_applications[-1] <= 3 * iters
+
     def test_d_counts_exclude_instrumentation(self):
         # per outer step: Kt y once, then K in the dual candidate and K in the
         # seminorm check per proposal; the recorded residual's K is uncounted

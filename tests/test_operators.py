@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hpesplit.linalg import LinearMap, StoppingRule, cg_solve
-from hpesplit.operators import LsqResolvent, clip, huber_gradient, huber_value, soft_threshold
+from hpesplit.operators import (RECYCLE_MEMORY, LsqResolvent, clip, huber_gradient, huber_value,
+                                 soft_threshold)
 
 
 def grid_prox_l1(x, eta, lo=-10.0, hi=10.0, step=1e-4):
@@ -237,6 +238,21 @@ class TestLsqResolventOracle:
                                    x0, stop=StoppingRule(cap=k))
             assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("f, x0, message", [
+        ([0.5], None, r"f must be a vector of length 6 for a \(6, 4\) H, got shape \(1,\)"),
+        (0.5, None, r"f must be a vector of length 6 .* got shape \(\)"),
+        (np.zeros((6, 1)), None, r"f must be a vector of length 6 .* got shape \(6, 1\)"),
+        (np.zeros(6), np.zeros(6), r"x0 must be a vector of length 4 for a \(6, 4\) H, "
+                                   r"got shape \(6,\)"),
+    ], ids=["short-f", "scalar-f", "column-f", "long-x0"])
+    def test_inputs_of_the_wrong_shape_rejected_before_any_product(self, f, x0, message):
+        # a length-1 f would broadcast in H x - f, and a wrong x0 would fail
+        # only at the first set_target
+        H = LinearMap(np.ones((6, 4)))
+        with pytest.raises(ValueError, match=message):
+            LsqResolvent(H, f, 0.5, x0=x0)
+        assert H.total_count == 0
+
     def test_refine_before_target_raises(self):
         H, _, f, _, tau, _ = self.setup_problem()
         with pytest.raises(RuntimeError):
@@ -244,7 +260,9 @@ class TestLsqResolventOracle:
 
 
 class TestPredictedStart:
-    """`set_target` starts at x + c (rhs - rhs_prev) with a clipped secant slope c."""
+    """`set_target` starts at x + W c + s (r - A W c): the A-energy projection onto
+    x + span(W), W an A-orthonormal basis of the candidate's recent moves, plus the
+    leftover residual scaled by a clipped secant slope s."""
 
     def setup_problem(self, seed=4, n=10, tau=0.7):
         rng = np.random.default_rng(seed)
@@ -256,6 +274,11 @@ class TestPredictedStart:
     def solve(Hm, f, tau, rhs):
         n = Hm.shape[1]
         return np.linalg.solve(np.eye(n) + tau * Hm.T @ Hm, rhs + tau * Hm.T @ f)
+
+    @staticmethod
+    def basis(oracle):
+        """The oracle's (W, A W), one basis vector per row."""
+        return oracle._W[:oracle._k], oracle._AW[:oracle._k]
 
     @staticmethod
     def slope(x_pred, x_last, move):
@@ -286,28 +309,74 @@ class TestPredictedStart:
         assert np.linalg.norm(tau * a + x - targets[2]) <= 1e-12 * (1 + np.linalg.norm(targets[2]))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_shift_is_the_clipped_secant_along_the_move(self, seed):
+    def test_start_projects_onto_an_a_orthonormal_basis(self, seed):
         # random targets, some returning to the one before last, each refined
-        # a random number of times before the next target arrives
-        H, _, f, tau, _ = self.setup_problem()
+        # a random number of times before the next target arrives; checked
+        # against the dense A = I + tau HtH; n is large enough that no move
+        # lies almost wholly in span(W)
+        H, Hm, f, tau, _ = self.setup_problem(n=24)
+        A = np.eye(H.cols) + tau * Hm.T @ Hm
         rng = np.random.default_rng(seed)
         oracle = LsqResolvent(H, f, tau)
         targets, accepted = [rng.standard_normal(H.cols)], []
-        oracle.set_target(targets[0])
+        x, a = oracle.set_target(targets[0])
+        sizes = []
         for k in range(1, 12):
             for _ in range(rng.integers(0, 4)):
-                oracle.refine()
-            accepted.append(oracle.candidate)
+                x, a = oracle.refine()
+            accepted.append(x)
             rhs = targets[-2] if k >= 2 and rng.random() < 0.4 else rng.standard_normal(H.cols)
-            x, _ = oracle.set_target(rhs)
-            c = self.slope(x, accepted[-1], rhs - targets[-1])
+            start, _ = oracle.set_target(rhs)
+            W, AW = self.basis(oracle)
+            np.testing.assert_allclose(W @ A @ W.T, np.eye(len(W)), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(AW, W @ A, rtol=0, atol=1e-12)
+            s = 1.0
             if k >= 2:
                 prev_move = targets[-1] - targets[-2]
-                secant = float((accepted[-1] - accepted[-2]) @ prev_move) / float(
-                    prev_move @ prev_move)
-                assert c == pytest.approx(min(max(secant, 0.0), 1.0), abs=1e-12)
-            assert 0.0 <= c <= 1.0
+                s = min(max(float((accepted[-1] - accepted[-2]) @ prev_move)
+                            / float(prev_move @ prev_move), 0.0), 1.0)
+            r = rhs - x - tau * a
+            c = W @ r
+            expected = x + c @ W + s * (r - c @ AW)
+            assert np.linalg.norm(start - expected) <= 1e-12 * (1 + np.linalg.norm(x))
+            sizes.append(len(W))
             targets.append(rhs)
+            x, a = start, oracle._a
+        assert sizes[:3] == [0, 1, 2] and max(sizes) >= 6
+
+    def test_a_solution_in_the_span_is_the_start(self):
+        # each target is started by the projection, then solved exactly by a
+        # warm start, so W holds the moves between the exact solutions; a
+        # target whose solution lies in x + span(W) then starts at it
+        H, Hm, f, tau, rng = self.setup_problem()
+        targets = [rng.standard_normal(H.cols) for _ in range(4)]
+        oracle = LsqResolvent(H, f, tau)
+        for rhs in targets:
+            oracle.set_target(rhs)
+            oracle.set_target(rhs, warm_start=self.solve(Hm, f, tau, rhs))
+        rhs = targets[3] + 0.6 * (targets[0] - targets[3]) - 1.3 * (targets[2] - targets[3])
+        x, a = oracle.set_target(rhs)
+        assert len(self.basis(oracle)[0]) == 3
+        solution = self.solve(Hm, f, tau, rhs)
+        assert np.linalg.norm(x - solution) <= 1e-12 * np.linalg.norm(solution)
+        assert np.linalg.norm(tau * a + x - rhs) <= 1e-12 * (1 + np.linalg.norm(rhs))
+
+    def test_full_basis_restarts_from_the_newest_move(self):
+        n = RECYCLE_MEMORY + 8
+        H, Hm, f, tau, rng = self.setup_problem(n=n)
+        A = np.eye(n) + tau * Hm.T @ Hm
+        oracle = LsqResolvent(H, f, tau)
+        oracle.set_target(rng.standard_normal(n))
+        sizes, moved_from = [], []
+        for _ in range(RECYCLE_MEMORY + 2):
+            moved_from.append(oracle.refine()[0])
+            oracle.set_target(rng.standard_normal(n))
+            sizes.append(len(self.basis(oracle)[0]))
+        assert sizes == list(range(RECYCLE_MEMORY + 1)) + [1]
+        move = moved_from[-1] - moved_from[-2]
+        W, AW = self.basis(oracle)
+        np.testing.assert_allclose(W[0], move / np.sqrt(move @ A @ move), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(AW[0], A @ W[0], rtol=0, atol=1e-12)
 
     def test_reversing_targets_clip_a_negative_secant_to_zero(self):
         # the targets go r, -r, r while the accepted candidates move against
@@ -321,34 +390,60 @@ class TestPredictedStart:
         np.testing.assert_array_equal(x, r)
 
     def test_secant_above_one_is_clipped(self):
+        # warm starts record no move, so W is empty and the whole residual is
+        # the leftover; the unclipped secant is 2, and it is scaled by 1
         H, _, f, tau, rng = self.setup_problem()
         r = rng.standard_normal(H.cols)
         oracle = LsqResolvent(H, f, tau)
         oracle.set_target(r, warm_start=np.zeros(H.cols))
-        oracle.set_target(-r, warm_start=-4 * r)    # unclipped secant 2
+        _, a = oracle.set_target(-r, warm_start=-4 * r)
         x, _ = oracle.set_target(r)
-        assert self.slope(x, -4 * r, 2 * r) == pytest.approx(1.0, abs=1e-12)
+        assert len(self.basis(oracle)[0]) == 0
+        leftover = r + 4 * r - tau * a
+        assert np.linalg.norm(x - (-4 * r + leftover)) <= 1e-13 * np.linalg.norm(x)
+
+    def test_unmoved_candidate_adds_no_column(self):
+        # a warm start puts the candidate back where the last projection
+        # started, so the next projection sees a zero move: no column, no 0/0
+        H, _, f, tau, rng = self.setup_problem()
+        oracle = LsqResolvent(H, f, tau)
+        oracle.set_target(rng.standard_normal(H.cols))
+        for _ in range(3):
+            moved_from, _ = oracle.refine()
+            oracle.set_target(rng.standard_normal(H.cols))
+        W, _ = self.basis(oracle)
+        before = W.copy()
+        oracle.set_target(rng.standard_normal(H.cols), warm_start=moved_from)
+        oracle.set_target(rng.standard_normal(H.cols))
+        np.testing.assert_array_equal(self.basis(oracle)[0], before)
 
     def test_unmoved_target_starts_at_the_candidate(self):
-        # the third target repeats the second, so the secant has no move to divide
-        # by: the start is the current candidate, with no 0/0
+        # at the target's solution, repeating the target moves the candidate
+        # only at rounding level; that move adds no column, and the secant
+        # along the zero target move is no 0/0
         H, Hm, f, tau, rng = self.setup_problem()
         rhs = rng.standard_normal(H.cols)
+        solution = self.solve(Hm, f, tau, rhs)
         oracle = LsqResolvent(H, f, tau)
+        oracle.set_target(rng.standard_normal(H.cols))
+        oracle.refine()
+        oracle.set_target(rhs)
+        oracle.set_target(rhs, warm_start=solution)
+        oracle.set_target(rhs)
+        assert len(self.basis(oracle)[0]) == 1
         for _ in range(2):
-            oracle.set_target(rhs)
-            oracle.refine()
-        x_last = oracle.candidate
-        x, a = oracle.set_target(rhs)
-        np.testing.assert_array_equal(x, x_last)
-        np.testing.assert_array_equal(a, Hm.T @ (Hm @ x - f))
+            x, a = oracle.set_target(rhs)
+            assert len(self.basis(oracle)[0]) == 1
+            assert np.linalg.norm(x - solution) <= 1e-12 * np.linalg.norm(solution)
+            np.testing.assert_array_equal(a, Hm.T @ (Hm @ x - f))
 
-    def test_second_target_shifts_by_the_full_move(self):
+    def test_second_target_shifts_by_the_full_residual(self):
+        # no move yet and no secant: the start is x + r, a Richardson step
         H, _, f, tau, rng = self.setup_problem()
         rhs, rhs2 = rng.standard_normal(H.cols), rng.standard_normal(H.cols)
         oracle = LsqResolvent(H, f, tau)
         oracle.set_target(rhs)
         for _ in range(2):
-            x_last, _ = oracle.refine()
+            x_last, a_last = oracle.refine()
         x, _ = oracle.set_target(rhs2)
-        np.testing.assert_array_equal(x, x_last + (rhs2 - rhs))
+        np.testing.assert_array_equal(x, x_last + (rhs2 - (x_last + tau * a_last)))
