@@ -430,6 +430,10 @@ def run_experiment(cfg):
     summary["reference"]["certified_gap"] = reference - ref_entry["lower_bound"]
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a rerun leaves only its own outputs, each written to a new file
+    owned = [f"{m}.csv" for spec in FAMILIES.values() for m in spec["methods"]]
+    for name in (*owned, "summary.json", "manifest.json"):
+        (out_dir / name).unlink(missing_ok=True)
     for name, (mres, entry) in runs.items():
         trace = mres.trace
         trace.reference_objective = reference

@@ -28,10 +28,6 @@ from .linalg import NumericalError, vector_norm
 class CertificationError(RuntimeError):
     """Inner refinement ran out of budget without passing the relative-error check."""
 
-    def __init__(self, message, iteration=None):
-        super().__init__(message)
-        self.iteration = iteration
-
 
 @dataclass
 class HpeConfig:
@@ -234,7 +230,7 @@ def certify(cfg, oracle, target, assemble, check, scale, k, method):
         if inner >= cfg.inner_cap:
             raise CertificationError(
                 f"{method}: iteration {k} not certified after {inner} refinements "
-                f"(lhs={lhs:.6e}, sigma*rhs={cfg.sigma * rhs:.6e})", iteration=k)
+                f"(lhs={lhs:.6e}, sigma*rhs={cfg.sigma * rhs:.6e})")
         candidate = assemble(*oracle.refine())
         inner += 1
 

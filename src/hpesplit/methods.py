@@ -414,11 +414,10 @@ def implicit_dy_run(H, f, D, lam1, lam2, delta, w0, iters, gamma=None, cg_tol=1e
             w, lambda b: _lsq_cg_step(H, params.gamma, b, x_prev, cg_tol))
         return (x2, w_next, x1), StepRecord(inner=it)
 
-    trace, (x2, w, x1) = iterate(step, (w0, w0, w0.copy()), iters, objective,
-                                 lambda: H.total_count,
-                                 itemgetter(1) if record_invariants else None, "implicit-dy")
-    return MethodResult(trace, x2, aux={"w": w, "x1": x1, "gamma": params.gamma,
-                                        "alpha": params.alpha})
+    trace, (x2, w, _) = iterate(step, (w0, w0, w0.copy()), iters, objective,
+                                lambda: H.total_count,
+                                itemgetter(1) if record_invariants else None, "implicit-dy")
+    return MethodResult(trace, x2, aux={"w": w, "gamma": params.gamma, "alpha": params.alpha})
 
 
 def fb_run(H, f, D, lam1, lam2, delta, x0, iters, norm_H=None,

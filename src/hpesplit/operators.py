@@ -95,7 +95,6 @@ class LsqResolvent:
         self._a = None
         self._rhs = None
         self._scale = None  # 1 + ||rhs||, for the stall test
-        self._last = None  # (previous target, the candidate accepted for it)
         self._steps = None
         # rows 0.._k-1: an A-orthonormal basis W of the candidate's moves between
         # projected starts and its images A W, A = I + tau HtH; `_pair` is the
@@ -124,21 +123,6 @@ class LsqResolvent:
         self._x = x
         self._a = self.H.apply_adjoint(self.H.apply(x) - self.f)
         return self._rhs - x - self.tau * self._a
-
-    def _slope(self):
-        """Secant estimate of the resolvent's slope along the previous target move.
-
-        <x - x_prev, rhs_prev - rhs_prevprev> / ||rhs_prev - rhs_prevprev||^2,
-        clipped to [0, 1], the range of the eigenvalues of (I + tau HtH)^{-1};
-        1 when there is no previous move.
-        """
-        if self._last is None:
-            return 1.0
-        move = self._rhs - self._last[0]
-        denom = float(move @ move)
-        if denom == 0.0:
-            return 1.0
-        return min(max(float((self._x - self._last[1]) @ move) / denom, 0.0), 1.0)
 
     def _add_move(self, y):
         """A-orthonormalize the candidate's move since the last projection into W.
@@ -179,15 +163,19 @@ class LsqResolvent:
 
         Every target after the first starts from the current candidate x with
         its exact residual r = rhs - x - tau a for the new target. The A-energy
-        best correction within span(W) is W c with c = W^T r; the residual
-        left over is scaled by the secant slope s of `_slope`:
+        best correction within span(W) is W c with c = W^T r, and half the
+        residual left over is added:
 
-            start = x + W c + s (r - A W c).
+            start = x + W c + (r - A W c) / 2.
 
-        That needs no `H` product, since A W is stored. The first target starts
-        at the current candidate, and an explicit `warm_start` replaces the
-        projection. The witness is recomputed at the start point (2 `H`
-        applications), so the (candidate, witness) pair stays exact.
+        The leftover is orthogonal to every stored move (W (r - A W c) = c - c),
+        so the moves say nothing about the resolvent along it; the eigenvalues
+        mu of (I + tau HtH)^{-1} lie in (0, 1], and 1/2 is the scale whose worst
+        error max |mu - 1/2| is least. That needs no `H` product, since A W is
+        stored. The first target starts at the current candidate, and an
+        explicit `warm_start` replaces the projection. The witness is
+        recomputed at the start point (2 `H` applications), so the (candidate,
+        witness) pair stays exact.
         """
         rhs = np.array(rhs, dtype=float)
         if warm_start is not None:
@@ -200,9 +188,7 @@ class LsqResolvent:
             r = rhs - y
             W, AW = self._W[:self._k], self._AW[:self._k]
             c = W @ r
-            start = self._x + c @ W + self._slope() * (r - c @ AW)
-        if self._rhs is not None:
-            self._last = (self._rhs, self._x)
+            start = self._x + c @ W + 0.5 * (r - c @ AW)
         self._rhs = rhs
         self._scale = 1.0 + vector_norm(rhs)
         res = self._residual(start)

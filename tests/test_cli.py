@@ -357,6 +357,30 @@ class TestRunExperiment:
         assert result.summary["methods"]["implicit-cp"]["certification_failure"] is None
         assert result.certification_failed
 
+    def test_rerun_leaves_only_its_own_outputs(self, tmp_path):
+        # the second run names only hpe-cp, so the first run's other CSVs go;
+        # every output is a new file, so a link to the old summary keeps it
+        first = run_experiment(named_config("cp1-run2", m=20, n=20, iters=5,
+                                            out_dir=str(tmp_path)))
+        assert len(list(first.out_dir.glob("*.csv"))) == 4
+        old = (first.out_dir / "summary.json").read_bytes()
+        os.link(first.out_dir / "summary.json", tmp_path / "old-summary.json")
+        second = run_experiment(named_config("cp1-run2", m=20, n=20, iters=5,
+                                             methods=("hpe-cp",), out_dir=str(tmp_path)))
+        assert list(second.summary["methods"]) == ["hpe-cp"]
+        assert sorted(p.name for p in second.out_dir.iterdir()) == [
+            "hpe-cp.csv", "manifest.json", "summary.json"]
+        assert (tmp_path / "old-summary.json").read_bytes() == old
+
+    def test_rerun_that_fails_certification_leaves_no_old_trace(self, tmp_path):
+        # sigma = 0 with one refinement fails hpe-cp; its earlier CSV must not stay
+        cfg = named_config("cp1-run2", m=20, n=20, iters=5, out_dir=str(tmp_path))
+        assert (run_experiment(cfg).out_dir / "hpe-cp.csv").exists()
+        result = run_experiment(replace(cfg, sigma=0.0, inner_cap=1))
+        assert result.summary["methods"]["hpe-cp"]["certification_failure"] is not None
+        assert not (result.out_dir / "hpe-cp.csv").exists()
+        assert (result.out_dir / "implicit-cp.csv").exists()
+
 
 class TestRunMethod:
     """`run_method` builds each method from the instance it is given: on an instance

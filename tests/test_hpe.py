@@ -228,9 +228,8 @@ class TestReducedRun:
         prox1, prox2 = toy_proxes(1.0)
         oracle = ProxPathOracle(prox1, 1.0, rate=1.0)
         cfg = HpeConfig(sigma=0.0, inner_cap=5)
-        with pytest.raises(CertificationError) as err:
+        with pytest.raises(CertificationError, match="iteration 0 not certified"):
             run_reduced(oracle, dr_assemble(prox2, 1.0), np.ones(3), cfg, 2)
-        assert err.value.iteration == 0
 
     def test_empty_run(self):
         prox1, prox2 = toy_proxes(1.0)
@@ -325,7 +324,7 @@ class TestIterateBlocks:
     def test_failing_step_reports_the_buffered_non_finite_row_first(self):
         def step(k, state):
             if k == 5:
-                raise CertificationError("not certified", iteration=k)
+                raise CertificationError("not certified")
             return walk(k, state)
 
         with pytest.raises(NumericalError, match="objective nan at iteration 3") as err:

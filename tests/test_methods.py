@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hpesplit.cli import HUBER_DELTA, named_config, run_method
 from hpesplit.hpe import HpeConfig, audit_invariants
 from hpesplit.linalg import LinearMap, NumericalError, StoppingRule, estimate_spectral_norm
 from hpesplit.methods import (
@@ -374,6 +375,16 @@ class TestInexactDy:
         assert h[0] == 2 + 3 * inner[0]
         for k in range(1, len(h)):
             assert h[k] - h[k - 1] == 2 + 3 * inner[k]
+
+    def test_half_leftover_start_keeps_dy_run3_refinements_low(self):
+        # a 48 x 48 dy-run3 (sigma = 0.99): with half the leftover residual in
+        # the projected start the run spends 1,695 `H` applications; with the
+        # leftover scaled by a secant along the target's move, 2,043
+        cfg = named_config("dy-run3", m=48, n=48, seed=0, iters=300, methods=("hpe-dy",))
+        inst = make_dy_instance(cfg.m, cfg.n, cfg.seed, cfg.lam1, cfg.lam2, HUBER_DELTA,
+                                kind=cfg.spectrum_kind)
+        res = run_method("hpe-dy", cfg, inst, norms={})
+        assert res.trace.h_applications[-1] <= 1850
 
 
 class TestImplicitCp:
