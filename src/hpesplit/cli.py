@@ -65,11 +65,66 @@ GAP_THRESHOLD = 1e-6
 # Huber width of the DY family's smoothed total-variation term
 HUBER_DELTA = 0.01
 
-# each family's keys (all required but DY's gamma) and the methods run if none are named
+
+# The runners of the family records below, called by `run_method` on a fresh instance.
+def _hpe_cp(cfg, inst, norms, p, x0):
+    lam, = inst.params.values()
+    return inexact_cp_run(LsqResolvent(inst.H, inst.f, p.tau, x0=x0), inst.D,
+                          lambda v: clip(v, lam), p, x0, np.zeros(inst.D.rows), cfg.iters,
+                          inner_cap=cfg.inner_cap, objective=inst.objective,
+                          norm_K=norms["D"])
+
+
+def _condat_vu(cfg, inst, norms, p, x0):
+    tau = 1.0 / norms["H"] ** 2
+    theta = 0.9 * (1.0 / tau - norms["H"] ** 2 / 2.0) / norms["D"] ** 2
+    return condat_vu_run(inst.H, inst.f, inst.D, *inst.params.values(), tau, theta, x0,
+                         np.zeros(inst.D.rows), cfg.iters, norm_H=norms["H"],
+                         norm_D=norms["D"], objective=inst.objective)
+
+
+def _hpe_dy(cfg, inst, norms, p, x0):
+    lam1, lam2, delta = inst.params.values()
+    return inexact_dy_run(LsqResolvent(inst.H, inst.f, p.gamma, x0=x0),
+                          lambda v: soft_threshold(v, p.gamma * lam1),
+                          lambda x: _huber_forward(inst.D, lam2, delta, x), p, x0,
+                          cfg.iters, inner_cap=cfg.inner_cap, objective=inst.objective)
+
+
+# Each family's harness record: the config keys it needs and those it may leave
+# unset, how a config becomes stepsizes and an instance (calling the generator by
+# its module-level name), and the runners, in the order run if a config names none.
 FAMILIES = {
-    "cp": {"keys": ("lam", "kappa"),
-           "methods": ("hpe-cp", "implicit-cp", "condat-vu", "explicit-cp")},
-    "dy": {"keys": ("lam1", "lam2", "gamma"), "methods": ("hpe-dy", "implicit-dy", "fb")},
+    "cp": {
+        "keys": ("lam", "kappa"), "optional": (),
+        "step_params": lambda cfg: CpParams.from_kappa(cfg.kappa, sigma=cfg.sigma),
+        "instance": lambda cfg: make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam,
+                                                 kind=cfg.spectrum_kind),
+        "runners": {
+            "hpe-cp": _hpe_cp,
+            "implicit-cp": lambda cfg, inst, norms, p, x0: implicit_cp_run(
+                inst.H, inst.f, inst.D, *inst.params.values(), p, x0,
+                np.zeros(inst.D.rows), cfg.iters, objective=inst.objective),
+            "condat-vu": _condat_vu,
+            "explicit-cp": lambda cfg, inst, norms, p, x0: explicit_cp_run(
+                inst.H, inst.f, inst.D, *inst.params.values(), p.kappa, x0,
+                np.zeros(inst.m), np.zeros(inst.D.rows), cfg.iters,
+                norm_K=float(np.sqrt(norms["H"] ** 2 + norms["D"] ** 2)),
+                objective=inst.objective)}},
+    "dy": {
+        "keys": ("lam1", "lam2"), "optional": ("gamma",),
+        "step_params": lambda cfg: DyParams.from_beta(4.0 * cfg.lam2, sigma=cfg.sigma,
+                                                      gamma=cfg.gamma),
+        "instance": lambda cfg: make_dy_instance(cfg.m, cfg.n, cfg.seed, cfg.lam1, cfg.lam2,
+                                                 HUBER_DELTA, kind=cfg.spectrum_kind),
+        "runners": {
+            "hpe-dy": _hpe_dy,
+            "implicit-dy": lambda cfg, inst, norms, p, x0: implicit_dy_run(
+                inst.H, inst.f, inst.D, *inst.params.values(), x0, cfg.iters,
+                gamma=p.gamma, objective=inst.objective),
+            "fb": lambda cfg, inst, norms, p, x0: fb_run(
+                inst.H, inst.f, inst.D, *inst.params.values(), x0, cfg.iters,
+                norm_H=norms["H"], objective=inst.objective)}},
 }
 
 
@@ -105,7 +160,7 @@ class ExperimentConfig:
             raise ValueError(f"out_dir {self.out_dir!r} is not a path: it holds a NUL byte")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        known = FAMILIES[self.family]["methods"]
+        known = tuple(FAMILIES[self.family]["runners"])
         self.methods = known if self.methods is None else tuple(self.methods)
         unknown = [m for m in self.methods if m not in known]
         if unknown:
@@ -130,19 +185,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown spectrum kind {self.spectrum_kind!r}, "
                              f"expected one of {SPECTRUM_KINDS}")
         for family, spec in FAMILIES.items():
-            for key in spec["keys"]:
+            for key in spec["keys"] + spec["optional"]:
                 value = getattr(self, key)
                 if family != self.family and value is not None:
                     raise ValueError(f"{self.family} experiments take no {key}")
-                if family == self.family and value is None and key != "gamma":
+                if family == self.family and value is None and key in spec["keys"]:
                     raise ValueError(f"{self.family} experiments need {key}")
         self.step_params()  # validates sigma, kappa and gamma before any work
 
     def step_params(self):
         """The CpParams or DyParams that `run_method` hands to the methods."""
-        if self.family == "cp":
-            return CpParams.from_kappa(self.kappa, sigma=self.sigma)
-        return DyParams.from_beta(4.0 * self.lam2, sigma=self.sigma, gamma=self.gamma)
+        return FAMILIES[self.family]["step_params"](self)
 
     def manifest(self):
         """Every field but the output place and the wall-time switch;
@@ -293,47 +346,15 @@ def audit_trace_file(path, sigma=None, rtol=1e-9):
 def run_method(name, cfg, inst, norms):
     """Run one method on a fresh copy of the instance; returns a MethodResult.
 
-    The problem, ``lam`` or ``lam1``, ``lam2`` and ``delta``, comes from the
-    instance's ``params``, as it does for the reference and the dual bound; of
-    ``cfg`` the method reads only ``iters``, ``inner_cap`` and `step_params`.
-    """
+    The family record's runner is called as ``runner(cfg, fresh, norms,
+    cfg.step_params(), x0 = 0)``: the problem comes from the instance, as it does
+    for the reference and the dual bound, and of ``cfg`` the method reads only
+    ``iters``, ``inner_cap`` and `step_params`."""
+    runner = FAMILIES[cfg.family]["runners"].get(name)
+    if runner is None:
+        raise ValueError(f"unknown method {name!r}")
     fresh = inst.fresh()
-    H, D, f = fresh.H, fresh.D, fresh.f
-    lam, lam1, lam2, delta = map(fresh.params.get, ("lam", "lam1", "lam2", "delta"))
-    objective = fresh.objective
-    x0 = np.zeros(fresh.n)
-    y0 = np.zeros(D.rows)
-    p = cfg.step_params()
-
-    if name == "hpe-cp":
-        oracle = LsqResolvent(H, f, p.tau, x0=x0)
-        return inexact_cp_run(oracle, D, lambda v: clip(v, lam), p, x0, y0,
-                              cfg.iters, inner_cap=cfg.inner_cap, objective=objective,
-                              norm_K=norms["D"])
-    if name == "implicit-cp":
-        return implicit_cp_run(H, f, D, lam, p, x0, y0, cfg.iters, objective=objective)
-    if name == "condat-vu":
-        tau = 1.0 / norms["H"] ** 2
-        theta = 0.9 * (1.0 / tau - norms["H"] ** 2 / 2.0) / norms["D"] ** 2
-        return condat_vu_run(H, f, D, lam, tau, theta, x0, y0, cfg.iters,
-                             norm_H=norms["H"], norm_D=norms["D"], objective=objective)
-    if name == "explicit-cp":
-        norm_K = float(np.sqrt(norms["H"] ** 2 + norms["D"] ** 2))
-        return explicit_cp_run(H, f, D, lam, p.kappa, x0, np.zeros(fresh.m), y0,
-                               cfg.iters, norm_K=norm_K, objective=objective)
-    if name == "hpe-dy":
-        oracle = LsqResolvent(H, f, p.gamma, x0=x0)
-        return inexact_dy_run(oracle, lambda v: soft_threshold(v, p.gamma * lam1),
-                              lambda x: _huber_forward(D, lam2, delta, x),
-                              p, x0, cfg.iters, inner_cap=cfg.inner_cap,
-                              objective=objective)
-    if name == "implicit-dy":
-        return implicit_dy_run(H, f, D, lam1, lam2, delta, x0, cfg.iters,
-                               gamma=p.gamma, objective=objective)
-    if name == "fb":
-        return fb_run(H, f, D, lam1, lam2, delta, x0, cfg.iters,
-                      norm_H=norms["H"], objective=objective)
-    raise ValueError(f"unknown method {name!r}")
+    return runner(cfg, fresh, norms, cfg.step_params(), np.zeros(fresh.n))
 
 
 def _environment():
@@ -382,11 +403,7 @@ def run_experiment(cfg):
 
     # wall time per phase; like wall_s, outside the reproducibility contract
     t = time.perf_counter()
-    if cfg.family == "cp":
-        inst = make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
-    else:
-        inst = make_dy_instance(cfg.m, cfg.n, cfg.seed, cfg.lam1, cfg.lam2, HUBER_DELTA,
-                                kind=cfg.spectrum_kind)
+    inst = FAMILIES[cfg.family]["instance"](cfg)
     phases = {"generate_s": time.perf_counter() - t}
     t = time.perf_counter()
     norms = {"H": estimate_spectral_norm(inst.H, start=inst.gram.top_right_singular_vector()),
@@ -431,7 +448,7 @@ def run_experiment(cfg):
 
     out_dir.mkdir(parents=True, exist_ok=True)
     # a rerun leaves only its own outputs, each written to a new file
-    owned = [f"{m}.csv" for spec in FAMILIES.values() for m in spec["methods"]]
+    owned = [f"{m}.csv" for spec in FAMILIES.values() for m in spec["runners"]]
     for name in (*owned, "summary.json", "manifest.json"):
         (out_dir / name).unlink(missing_ok=True)
     for name, (mres, entry) in runs.items():

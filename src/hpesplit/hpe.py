@@ -134,38 +134,23 @@ def iterate(step, state, iters, objective=None, h_counter=None, record=None,
             method="", sigma=None):
     """The outer loop of every runner: step, time, write the trace row.
 
+    ``step(k, state) -> (state, StepRecord)`` performs outer iteration k < ``iters``;
+    a row's ``wall_ms`` times its step only. The first entry of ``state`` is the
+    primal point: the objective is evaluated there after every step, and runners
+    return it as the final iterate, so it must be meaningful before the first step.
+
     The objective is instrumentation: no step depends on it. So each row's
-    primal point is copied into a block of ``min(OBJECTIVE_BLOCK, iters)``
-    rows, and the objective is evaluated once per full block and once at the
-    end. A row's ``wall_ms`` times its step only.
+    primal point is copied into a block of ``min(OBJECTIVE_BLOCK, iters)`` rows,
+    and ``objective(block)``, one value per row of a (rows, n) block, is
+    evaluated once per full block and once at the end; without an objective the
+    rows record NaN. A value that is not finite raises `NumericalError` naming
+    the method and its iteration. If a step raises, the rows buffered so far are
+    evaluated first, so an earlier non-finite value is the error reported.
 
-    Parameters
-    ----------
-    step : callable
-        ``step(k, state) -> (state, StepRecord)`` performs outer iteration k.
-    state : tuple
-        Initial state. Its first entry is the primal point: the objective is
-        evaluated there after every step, and runners return it as the final
-        iterate, so it must be meaningful before the first step too.
-    iters : int
-        Number of outer iterations.
-    objective : callable, optional
-        ``objective(block)`` maps a (rows, n) block of primal points to one
-        value per row; each row's value is recorded (NaN when absent). A
-        value that is not finite raises `NumericalError` naming the method and
-        its iteration. If a step raises, the rows buffered so far are
-        evaluated first, so an earlier non-finite value is the error reported.
-    h_counter : callable, optional
-        Returns the cumulative count of the dominant operator applications.
-    record : callable, optional
-        ``record(state) -> ndarray``; when given, ``trace.iterates`` holds its
-        value before the first and after every step.
-    method, sigma
-        Labels stored in the trace.
-
-    Returns
-    -------
-    (RunTrace, final state)
+    ``h_counter()`` returns the cumulative count of the dominant operator
+    applications. ``record(state) -> ndarray``, when given, fills
+    ``trace.iterates`` with its value before the first and after every step.
+    ``method`` and ``sigma`` label the trace. Returns (RunTrace, final state).
     """
     trace = RunTrace(method=method, sigma=sigma)
     count = h_counter if h_counter is not None else (lambda: 0)
@@ -205,17 +190,10 @@ def certify(cfg, oracle, target, assemble, check, scale, k, method):
     Proposes ``assemble(*oracle.set_target(target))`` and then
     ``assemble(*oracle.refine())`` until ``check(candidate) -> (lhs, rhs)``
     gives lhs <= sigma * rhs + atol, where atol = ``cfg.accept_atol * scale``.
-
-    Returns
-    -------
-    (candidate, lhs, rhs, refinements, atol)
-
-    Raises
-    ------
-    NumericalError
-        When lhs or rhs is not finite; refining cannot repair that.
-    CertificationError
-        When ``cfg.inner_cap`` refinements do not produce an acceptable candidate.
+    Returns (candidate, lhs, rhs, refinements, atol). Raises `NumericalError`
+    when lhs or rhs is not finite, which refining cannot repair, and
+    `CertificationError` when ``cfg.inner_cap`` refinements do not produce an
+    acceptable candidate.
     """
     atol = cfg.accept_atol * scale
     candidate = assemble(*oracle.set_target(target))

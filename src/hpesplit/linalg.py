@@ -217,24 +217,11 @@ def cg_steps(x, r, *, apply=None, curvature=None, residual=None):
 
 
 def cg_solve(apply, b, x0=None, *, stop):
-    """Conjugate gradients for a symmetric positive semidefinite system.
-
-    Parameters
-    ----------
-    apply : callable
-        Matrix-free application ``v -> A v`` of the (SPD, or PSD with ``b`` in
-        range) system operator.
-    b : ndarray
-        Right-hand side.
-    x0 : ndarray, optional
-        Warm start; zeros when omitted.
-    stop : StoppingRule
-        Residual tolerance or iteration cap; whichever fires first stops.
-
-    Returns
-    -------
-    (x, iterations) : the iterate at stop time and the number of CG steps taken.
-    """
+    """Conjugate gradients for A x = b, with ``apply(v) -> A v`` matrix-free (A
+    SPD, or PSD with b in its range), from the warm start ``x0`` (zeros when
+    omitted) until the `StoppingRule` ``stop`` fires: its residual tolerance or
+    its cap, whichever first. Returns (x, iterations): the iterate at stop time
+    and the number of CG steps taken."""
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     if x.shape != b.shape:

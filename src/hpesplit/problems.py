@@ -6,15 +6,18 @@ singular values follow a prescribed decay ("cosine" or "power5", both ending
 in an exact zero).  Generation is deterministic per seed (PCG64 via
 numpy.random.default_rng).  The instance keeps V and the singular values
 (`GramFactor`), which give the resolvent of the data term in closed form,
-and each family has a Fenchel-dual lower bound on its optimum.
+and each family has a Fenchel-dual lower bound on its optimum: fields of its
+`Family` record, which holds all that tells the families apart.
 """
 
 from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
 from .linalg import FirstDifference, LinearMap
 from .operators import huber_gradient, huber_value
+from .reference import _anderson_dy, _polish_cp, _restarted_cp
 
 SPECTRUM_KINDS = ("cosine", "power5")
 # interior breakpoints of the generated piecewise-constant signal
@@ -151,8 +154,9 @@ def _best_scaled_dual(quad, lin, excess, bound):
     return -t * t * quad - t * lin
 
 
-def dual_bound_cp(H, f, lam, x):
-    """Lower bound on the optimum of `objective_cp`, with D the first difference.
+def dual_bound_cp(H, f, D, lam, x):
+    """Lower bound on the optimum of `objective_cp`, with D the first difference,
+    which is not applied: a cumulative sum inverts D^T.
 
     By weak duality every (u, y) with H^T u + D^T y = 0 and ||y||_inf <= lam
     gives -0.5 ||u||^2 - <u, f> <= the optimum. The point is built from x:
@@ -187,15 +191,40 @@ def dual_bound_dy(H, f, D, lam1, lam2, delta, x):
     return _best_scaled_dual(quad, float(u @ f), float(np.abs(v).max()), lam1)
 
 
+@dataclass(frozen=True)
+class Family:
+    """Everything that tells one problem family from the other. `objective` and
+    `dual_bound` take ``(H, f, D, *weights, x)``. `reference.reference_run` steps
+    `stream`, the step of the implicit baseline `reference`, from the entry fields
+    ``entry(p)``, ``polishes`` among them if ``polish(inst, *weights, y)`` is set."""
+
+    weights: tuple   # the weights' names, in the order the family's functions take them
+    objective: Callable
+    dual_bound: Callable
+    reference: str
+    stream: Callable
+    entry: Callable
+    polish: Optional[Callable] = None
+
+
+CP = Family(weights=("lam",), objective=objective_cp, dual_bound=dual_bound_cp,
+            reference="implicit-cp", stream=_restarted_cp, polish=_polish_cp,
+            entry=lambda p: {"kappa": p.kappa, "restarts": 0, "polishes": 0})
+DY = Family(weights=("lam1", "lam2", "delta"), objective=objective_dy,
+            dual_bound=dual_bound_dy, reference="implicit-dy", stream=_anderson_dy,
+            entry=lambda p: dict.fromkeys(("plain_steps", "extrapolations", "resets"), 0))
+
+
 @dataclass
 class ProblemInstance:
-    """One generated benchmark instance: operators, data, truth, objective weights
-    and the generator's Gram factor of H."""
+    """One generated benchmark instance: operators, data, truth, its family, its
+    weights by name in ``family.weights`` order, and the Gram factor of H."""
 
     H: LinearMap
     D: LinearMap
     f: np.ndarray
     x_true: np.ndarray
+    family: Family
     params: dict
     gram: GramFactor
 
@@ -209,34 +238,30 @@ class ProblemInstance:
 
     def objective(self, x):
         """The family's objective at x, or one value per row of a (rows, n) block."""
-        if "lam" in self.params:
-            return objective_cp(self.H, self.f, self.D, self.params["lam"], x)
-        return objective_dy(self.H, self.f, self.D, self.params["lam1"],
-                            self.params["lam2"], self.params["delta"], x)
+        return self.family.objective(self.H, self.f, self.D, *self.params.values(), x)
 
     def lower_bound(self, x):
         """A lower bound on the optimal objective, from a dual point built at x."""
-        if "lam" in self.params:
-            return dual_bound_cp(self.H, self.f, self.params["lam"], x)
-        return dual_bound_dy(self.H, self.f, self.D, self.params["lam1"],
-                             self.params["lam2"], self.params["delta"], x)
+        return self.family.dual_bound(self.H, self.f, self.D, *self.params.values(), x)
 
     def fresh(self):
         """Same instance with zeroed operator counters (one per method run)."""
         return replace(self, H=self.H.fresh(), D=self.D.fresh())
 
 
-def make_cp_instance(m, n, seed, lam, kind="cosine", sparsity=0.5, noise_std=None):
-    """Instance of the data-fit plus total-variation family."""
+def _make_instance(family, m, n, seed, weights, kind, sparsity, noise_std):
     H, gram = gen_illcond_factors(m, n, kind=kind, seed=seed)
     x_true, f, _ = gen_signal_and_data(H, seed + 1, sparsity=sparsity, noise_std=noise_std)
-    return ProblemInstance(H, FirstDifference(n), f, x_true, {"lam": lam}, gram)
+    return ProblemInstance(H, FirstDifference(n), f, x_true, family,
+                           dict(zip(family.weights, weights)), gram)
+
+
+def make_cp_instance(m, n, seed, lam, kind="cosine", sparsity=0.5, noise_std=None):
+    """Instance of the data-fit plus total-variation family."""
+    return _make_instance(CP, m, n, seed, (lam,), kind, sparsity, noise_std)
 
 
 def make_dy_instance(m, n, seed, lam1, lam2, delta, kind="cosine", sparsity=0.0,
                      noise_std=None):
     """Instance of the sparse plus smoothed-total-variation family."""
-    H, gram = gen_illcond_factors(m, n, kind=kind, seed=seed)
-    x_true, f, _ = gen_signal_and_data(H, seed + 1, sparsity=sparsity, noise_std=noise_std)
-    return ProblemInstance(H, FirstDifference(n), f, x_true,
-                           {"lam1": lam1, "lam2": lam2, "delta": delta}, gram)
+    return _make_instance(DY, m, n, seed, (lam1, lam2, delta), kind, sparsity, noise_std)

@@ -1,5 +1,5 @@
 """The certified reference solve, `reference_run`, fed only by the instance (its
-family and weights come from ``inst.params``), its stepsizes and its cap."""
+family record, `problems.Family`, and its weights), its stepsizes and its cap."""
 
 from collections import deque
 from functools import partial
@@ -24,32 +24,24 @@ def reference_run(inst, p, cap):
     """The implicit baseline's step at the stepsizes p (`CpParams` or `DyParams`),
     iterated from x0 = 0 until its dual certificate closes.
 
-    The family's stream (`_restarted_cp`, `_anderson_dy`) is built the same way,
-    ``stream(inst, p, x0, entry)``, and yields the same shape, the iterate (x, y)
-    after each step, with y the dual for CP and None for DY; every inner solve is
-    the Gram factor's closed-form resolvent, checked by CG once per
+    The family record ``inst.family`` gives the entry's first fields,
+    ``entry(p)``, and the stream ``stream(inst, p, x0, entry)``: the iterate
+    (x, y) after each step, y the dual for CP and None for DY. Every inner solve
+    is the Gram factor's closed-form resolvent, checked by CG once per
     `REFERENCE_CHUNK` steps (`_checked_resolvent`). Every
     `REFERENCE_CHUNK` steps the objective and the dual bound are evaluated once
     at x, and their gap goes with the next step. A checkpoint with a dual also
-    evaluates both at `_polish_cp`'s point, if there is one, and keeps them
-    unless they are not finite; that point never enters the stream. It stops
-    once the lowest objective minus the highest bound is at most `REFERENCE_GAP`
-    (``stop = "certificate"``) or after ``cap`` steps (``"cap"``; at 0, at x0).
-    Returns the lowest objective and the summary's reference entry. CP needs
-    ``p.kappa``, which its restarts adapt: a `CpParams` built from tau and theta
-    is a ValueError before any step."""
-    fresh, params, entry = inst.fresh(), inst.params, {"cap": cap}
+    evaluates both at the family's ``polish`` point, if there is one, and keeps
+    them unless they are not finite; that point never enters the stream. It
+    stops once the lowest objective minus the highest bound is at most
+    `REFERENCE_GAP` (``stop = "certificate"``) or after ``cap`` steps
+    (``"cap"``; at 0, at x0). Returns the lowest objective and the summary's
+    reference entry."""
+    fresh, family = inst.fresh(), inst.family
+    entry = {"cap": cap, "method": family.reference, **family.entry(p)}
+    polish = partial(family.polish, fresh, *fresh.params.values()) if family.polish else None
     x0 = np.zeros(fresh.n)
-    if "lam" in params:
-        if p.kappa is None:
-            raise ValueError("the CP reference restarts by adapting kappa, so its "
-                             "CpParams need one (CpParams.from_kappa); got kappa=None")
-        entry.update(method="implicit-cp", kappa=p.kappa, restarts=0, polishes=0)
-        make_stream, polish = _restarted_cp, partial(_polish_cp, fresh, params["lam"])
-    else:
-        entry.update(method="implicit-dy", plain_steps=0, extrapolations=0, resets=0)
-        make_stream, polish = _anderson_dy, None
-    stream = make_stream(fresh, p, x0, entry)
+    stream = family.stream(fresh, p, x0, entry)
 
     best, bound, done, gap, polished = np.inf, -np.inf, 0, None, False
     # at a cap of 0 there is x0 alone, with no dual to polish on
@@ -114,15 +106,15 @@ def _polish_cp(inst, lam, y):
     return np.repeat(z, np.diff(starts, append=inst.n))
 
 
-def _checked_resolvent(inst, tau, method, steps):
+def _checked_resolvent(inst, tau, steps):
     """The inner solve ``solve(b) -> (x, 0)`` of a reference step, x = (I + tau
     HtH)^{-1} b from the Gram factor's closed form, with no CG.
 
     ``steps`` counts the solves of the whole stream: the first of every
     `REFERENCE_CHUNK` (steps 1, 101, ...) is checked as implicit-cp and
     implicit-dy check theirs, by `_lsq_cg_step` started at x at 1e-8. If CG
-    would take a step there, it raises NumericalError naming the ``method``'s
-    reference, the step and the closed form's relative residual."""
+    would take a step there, it raises NumericalError naming the family's
+    reference method, the step and the closed form's relative residual."""
     closed, H = inst.gram.resolvent(tau), inst.H
 
     def solve(b):
@@ -130,8 +122,8 @@ def _checked_resolvent(inst, tau, method, steps):
         if k % REFERENCE_CHUNK == 0 and _lsq_cg_step(H, tau, b, x, 1e-8)[1]:
             residual = b - (x + tau * H.apply_adjoint_uncounted(H.apply_uncounted(x)))
             raise NumericalError(
-                f"{method} reference: the closed-form resolvent fails the CG check "
-                f"at step {k + 1}, relative residual "
+                f"{inst.family.reference} reference: the closed-form resolvent fails "
+                f"the CG check at step {k + 1}, relative residual "
                 f"{vector_norm(residual) / max(vector_norm(b), 1e-300):.3e} > 1e-8")
         return x, 0
 
@@ -148,12 +140,15 @@ def _restarted_cp(inst, p, x0, entry):
     kappa <- sqrt(kappa * ||y - y_r|| / ||x - x_r||), (x_r, y_r) the iterate at
     the last restart, unless a norm is 0, and the run goes on from the current
     iterate at ``p = CpParams.from_kappa(kappa)``. ``entry`` keeps ``kappa`` and
-    ``restarts``."""
+    ``restarts``. A `CpParams` built from tau and theta has no kappa to adapt:
+    a ValueError before the first step."""
+    if p.kappa is None:
+        raise ValueError("the CP reference adapts kappa, so its CpParams need one; got None")
     state = anchor = (x0, np.zeros(inst.D.rows))
     restart_gap, steps = np.inf, count()
     while True:
-        step = _implicit_cp_step(inst.H, inst.f, inst.D, inst.params["lam"], p)
-        solve = _checked_resolvent(inst, p.tau, "implicit-cp", steps)
+        step = _implicit_cp_step(inst.H, inst.f, inst.D, *inst.params.values(), p)
+        solve = _checked_resolvent(inst, p.tau, steps)
         gap = None
         while gap is None or not gap <= RESTART_DECAY * restart_gap:
             state, _ = step(state, solve)
@@ -182,10 +177,8 @@ def _anderson_dy(inst, p, x0, entry):
     so does an empty memory, which a memory of 0 always is. ``entry`` tallies
     every evaluation as one of ``plain_steps``, ``extrapolations``
     (extrapolated points kept) and ``resets`` (extrapolated points rejected)."""
-    params = inst.params
-    step = _implicit_dy_step(inst.H, inst.f, inst.D, params["lam1"], params["lam2"],
-                             params["delta"], p)
-    solve = _checked_resolvent(inst, p.gamma, "implicit-dy", count())
+    step = _implicit_dy_step(inst.H, inst.f, inst.D, *inst.params.values(), p)
+    solve = _checked_resolvent(inst, p.gamma, count())
     # the (dT, dG) column pairs, oldest first
     memory = deque(maxlen=ANDERSON_MEMORY)
 

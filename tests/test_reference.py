@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hpesplit import problems
 from hpesplit import reference as refsolve
-from hpesplit.cli import HUBER_DELTA, named_config, run_experiment
+from hpesplit.cli import FAMILIES, HUBER_DELTA, named_config, run_experiment
 from hpesplit.linalg import NumericalError
 from hpesplit.methods import CpParams, _lsq_cg_step
 from hpesplit.problems import GramFactor, make_cp_instance, make_dy_instance
@@ -125,7 +126,7 @@ STREAM_FIELDS = ("cap", "method", "kappa", "restarts", "iterations", "stop", "lo
 @pytest.mark.parametrize("fault", ["singular", "nan"])
 def test_failed_face_solve_skips_the_polish(fault, monkeypatch):
     # without a polish, cp1-run2 at seed 0 certifies after 3,000 steps of the stream
-    monkeypatch.setattr(refsolve, "_polish_cp", lambda inst, lam, y: None)
+    monkeypatch.setattr(problems, "CP", replace(problems.CP, polish=lambda inst, lam, y: None))
     unpolished = cp_reference("cp1-run2", iters=1000)
     monkeypatch.undo()
     solve, calls = np.linalg.solve, []
@@ -148,8 +149,9 @@ def test_a_wrong_face_cannot_fool_the_certificate(monkeypatch):
     # with the signs of y flipped, each polished point is off the optimum's face;
     # the objective and the bound still hold it between them
     optimum, _ = cp_reference("cp1-run2", iters=1000)
-    polish = refsolve._polish_cp
-    monkeypatch.setattr(refsolve, "_polish_cp", lambda inst, lam, y: polish(inst, lam, -y))
+    polish = problems.CP.polish
+    monkeypatch.setattr(problems, "CP", replace(
+        problems.CP, polish=lambda inst, lam, y: polish(inst, lam, -y)))
     best, entry = cp_reference("cp1-run2", iters=1000)
     assert entry["polishes"] > 0
     rounding = 1e-12 * optimum
@@ -198,21 +200,15 @@ def test_cp_params_without_kappa_are_rejected_before_any_step(monkeypatch):
 def named_instance(name, **overrides):
     """A named experiment's config and the instance it generates."""
     cfg = named_config(name, **overrides)
-    if cfg.family == "cp":
-        return cfg, make_cp_instance(cfg.m, cfg.n, cfg.seed, cfg.lam, kind=cfg.spectrum_kind)
-    return cfg, make_dy_instance(cfg.m, cfg.n, cfg.seed, cfg.lam1, cfg.lam2, HUBER_DELTA,
-                                 kind=cfg.spectrum_kind)
+    return cfg, FAMILIES[cfg.family]["instance"](cfg)
 
 
 def stream_iterates(inst, p, steps):
     """The family's reference stream for `steps` steps, sent each checkpoint's
     gap as `reference_run` sends it, so the CP stream restarts as it does there."""
-    if "lam" in inst.params:
-        make_stream, entry = refsolve._restarted_cp, {"kappa": p.kappa, "restarts": 0}
-    else:
-        make_stream, entry = refsolve._anderson_dy, dict.fromkeys(
-            ("plain_steps", "extrapolations", "resets"), 0)
-    stream, iterates, gap = make_stream(inst.fresh(), p, np.zeros(inst.n), entry), [], None
+    entry = inst.family.entry(p)
+    stream = inst.family.stream(inst.fresh(), p, np.zeros(inst.n), entry)
+    iterates, gap = [], None
     for k in range(1, steps + 1):
         iterates.append(stream.send(gap))
         x = iterates[-1][0]
@@ -227,7 +223,7 @@ def test_closed_form_stream_is_the_checked_stream(name, monkeypatch):
     cfg, inst = named_instance(name)
     closed_form, closed_entry = stream_iterates(inst, cfg.step_params(), 300)
 
-    def checked(inst, tau, method, steps):
+    def checked(inst, tau, steps):
         closed = inst.gram.resolvent(tau)
         return lambda b: _lsq_cg_step(inst.H, tau, b, closed(b), 1e-8)
 
